@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .marketdata import (
     time_split,
     write_prices,
 )
-from .optim import GRADIENT_KINDS, Hyper, OptimError, OptimizerKind
+from .optim import BASELINE_HYPER, GENERATOR_HYPER, GRADIENT_KINDS, Hyper, OptimError, OptimizerKind
 from .trainer import TrainConfig, TrainError, config_to_flat, format_value
 
 __all__ = ["main", "UsageError", "DEFAULTS", "parse_config_file", "render_svg"]
@@ -49,50 +49,13 @@ class UsageError(Exception):
 
 
 DEFAULTS: dict = {
-    "iterations": 50,
-    "window": 252,
-    "seed": 0,
-    "eval_seed": None,
-    "eval_every": 1,
-    "optimizer": "adamw",
-    "bag_mode": "sparsify_rows",
-    "noise_dim": 16,
-    "conv_channels": 8,
-    "conv_kernel": 3,
-    "lstm_hidden": 64,
-    "population": 64,
-    "lambda": 1e-6,
-    "p_zero": 0.1,
-    "noise_sigma": 0.01,
-    "corruption": True,
-    "learning_rate": None,  # resolved per role: 0.01 generator, 0.1 baselines
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "eps": 1e-8,
-    "weight_decay": 0.01,
-    "rmsprop_alpha": 0.99,
-    "rprop_eta_plus": 1.2,
-    "rprop_eta_minus": 0.5,
-    "rprop_step_min": 1e-6,
-    "rprop_step_max": 50.0,
-    "cmaes_sigma0": 0.3,
-    "train_fraction": 0.8,
-    "index_column": "INDEX",
+    **{name: key.default for name, key in trainer.FLAT_KEYS.items() if key.default is not MISSING},
+    **trainer.DATA_DEFAULTS,
 }
-
-_INT_KEYS = {
-    "iterations", "window", "seed", "eval_every",
-    "noise_dim", "conv_channels", "conv_kernel", "lstm_hidden", "population",
+_TYPES = {
+    **{name: key.type for name, key in trainer.FLAT_KEYS.items()},
+    **{name: type(default) for name, default in trainer.DATA_DEFAULTS.items()},
 }
-_OPT_INT_KEYS = {"eval_seed"}
-_FLOAT_KEYS = {
-    "lambda", "p_zero", "noise_sigma", "beta1", "beta2", "eps", "weight_decay",
-    "rmsprop_alpha", "rprop_eta_plus", "rprop_eta_minus", "rprop_step_min",
-    "rprop_step_max", "cmaes_sigma0", "train_fraction",
-}
-_OPT_FLOAT_KEYS = {"learning_rate"}
-_BOOL_KEYS = {"corruption"}
-_STR_KEYS = {"optimizer", "bag_mode", "index_column"}
 
 _TRUE_WORDS = {"true", "1", "yes", "on"}
 _FALSE_WORDS = {"false", "0", "no", "off"}
@@ -100,27 +63,22 @@ _FALSE_WORDS = {"false", "0", "no", "off"}
 
 def _coerce(key: str, raw: str):
     raw = raw.strip()
+    kind = _TYPES[key]
+    if raw == "" and DEFAULTS.get(key, MISSING) is None:
+        return None
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _OPT_INT_KEYS:
-            return None if raw == "" else int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _OPT_FLOAT_KEYS:
-            return None if raw == "" else float(raw)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             low = raw.lower()
             if low in _TRUE_WORDS:
                 return True
             if low in _FALSE_WORDS:
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if key in _STR_KEYS:
-            return raw
+        if kind in (int, float):
+            return kind(raw)
     except ValueError as e:
         raise UsageError(f"bad value for {key}: {e}") from None
-    raise UsageError(f"unknown configuration key: {key}")
+    return raw
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -137,7 +95,7 @@ def parse_config_file(path: str | Path) -> dict:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in DEFAULTS:
+        if key not in _TYPES:
             raise UsageError(f"{path}:{lineno}: unknown configuration key: {key}")
         values[key] = _coerce(key, raw)
     return values
@@ -205,29 +163,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve(args, flag_keys: dict[str, str]) -> dict:
-    """Layer defaults, then the config file, then explicit flags."""
+def _resolve(args) -> dict:
+    """Layer defaults, then the config file, then explicit flags.
+
+    A flag sets the configuration key its destination names (`lambda_`
+    sets `lambda`).
+    """
     resolved = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         resolved.update(parse_config_file(args.config))
-    for attr, key in flag_keys.items():
-        value = getattr(args, attr, None)
-        if value is not None:
+    for attr, value in vars(args).items():
+        key = attr.rstrip("_")
+        if key in _TYPES and value is not None:
             resolved[key] = value
     return resolved
-
-
-_TRAIN_FLAG_KEYS = {
-    "seed": "seed",
-    "iterations": "iterations",
-    "population": "population",
-    "lambda_": "lambda",
-    "window": "window",
-    "optimizer": "optimizer",
-    "train_fraction": "train_fraction",
-    "eval_seed": "eval_seed",
-    "index_column": "index_column",
-}
 
 
 def _require(args, name: str) -> str:
@@ -237,35 +186,29 @@ def _require(args, name: str) -> str:
     return value
 
 
+def _role_rate(resolved: dict, role: Hyper) -> float:
+    """The configured learning rate, or the role's own when it is unset."""
+    rate = resolved["learning_rate"]
+    return role.learning_rate if rate is None else rate
+
+
 def _build_train_config(resolved: dict, n_assets: int) -> TrainConfig:
-    lr = resolved["learning_rate"]
-    hyper = Hyper(
-        learning_rate=0.01 if lr is None else float(lr),
-        beta1=resolved["beta1"],
-        beta2=resolved["beta2"],
-        eps=resolved["eps"],
-        weight_decay=resolved["weight_decay"],
-        rmsprop_alpha=resolved["rmsprop_alpha"],
-        rprop_eta_plus=resolved["rprop_eta_plus"],
-        rprop_eta_minus=resolved["rprop_eta_minus"],
-        rprop_step_min=resolved["rprop_step_min"],
-        rprop_step_max=resolved["rprop_step_max"],
-        cmaes_sigma0=resolved["cmaes_sigma0"],
-    )
-    flat = dict(resolved)
-    flat["n_assets"] = n_assets
-    flat["learning_rate"] = hyper.learning_rate
+    # a replayed run.config names the asset count it was trained on
+    if resolved.get("n_assets", n_assets) != n_assets:
+        raise DataError(f"config expects {resolved['n_assets']} assets, data has {n_assets}")
+    flat = {
+        **resolved,
+        "n_assets": n_assets,
+        "learning_rate": _role_rate(resolved, GENERATOR_HYPER),
+    }
     try:
         return trainer.config_from_flat(flat)
     except ValueError as e:
         raise UsageError(str(e)) from None
 
 
-def _full_flat(config: TrainConfig, resolved: dict) -> dict:
-    flat = config_to_flat(config)
-    flat["train_fraction"] = resolved["train_fraction"]
-    flat["index_column"] = resolved["index_column"]
-    return flat
+def _with_data_keys(flat: dict, resolved: dict) -> dict:
+    return {**flat, **{key: resolved[key] for key in trainer.DATA_DEFAULTS}}
 
 
 def _load_split(args, resolved: dict):
@@ -278,7 +221,7 @@ def _load_split(args, resolved: dict):
 # commands
 
 def _cmd_ingest(args) -> int:
-    resolved = _resolve(args, {"index_column": "index_column", "seed": "seed"})
+    resolved = _resolve(args)
     table = load_prices(_require(args, "data"), resolved["index_column"])
     out = Path(_require(args, "out"))
     out.mkdir(parents=True, exist_ok=True)
@@ -288,7 +231,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    resolved = _resolve(args, {"index_column": "index_column", "seed": "seed"})
+    resolved = _resolve(args)
     if args.assets < 2:
         raise UsageError("--assets must be at least 2")
     panel, true_weights = synth_dataset(
@@ -312,12 +255,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    resolved = _resolve(args, _TRAIN_FLAG_KEYS)
+    resolved = _resolve(args)
     panel, split = _load_split(args, resolved)
     config = _build_train_config(resolved, panel.n_assets)
     out = Path(_require(args, "out"))
     out.mkdir(parents=True, exist_ok=True)
-    flat = _full_flat(config, resolved)
+    flat = _with_data_keys(config_to_flat(config), resolved)
     trainer.write_config(flat, out / trainer.RUN_CONFIG)
 
     resume_payload = trainer.load_checkpoint(args.resume) if args.resume else None
@@ -331,13 +274,6 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_validation_panel(args, resolved):
-    panel = compute_log_returns(
-        load_prices(_require(args, "data"), resolved["index_column"])
-    )
-    return time_split(panel, resolved["train_fraction"]).validation
-
-
 def _population_from_checkpoint(payload: dict, eval_seed: int | None) -> tuple[gen.Population, dict]:
     kind = payload.get("kind")
     if kind == "generator":
@@ -346,18 +282,12 @@ def _population_from_checkpoint(payload: dict, eval_seed: int | None) -> tuple[g
             rng = np.random.default_rng(np.random.SeedSequence(eval_seed))
             noise = gen.sample_noise(config.generator, rng)
         else:
-            noise = np.asarray(
-                payload["eval_noise"]["data"], dtype=np.float64
-            ).reshape(payload["eval_noise"]["shape"])
+            noise = trainer.unpack_array(payload["eval_noise"])
         result = gen.forward(params, state, noise, mode="eval")
         meta = {"checkpoint_kind": "generator", "iteration": payload["iteration"]}
         return result.population, meta
     if kind == "baseline":
-        logits = np.asarray(payload["logits"], dtype=np.float64)
-        weights = gen.sparsemax(logits)
-        population = gen.Population(
-            logits=logits[None, :].copy(), weights=weights[None, :], mode="eval"
-        )
+        population = trainer.logits_population(np.asarray(payload["logits"], dtype=np.float64))
         meta = {
             "checkpoint_kind": f"baseline:{payload.get('optimizer', '?')}",
             "iteration": payload["iteration"],
@@ -367,22 +297,15 @@ def _population_from_checkpoint(payload: dict, eval_seed: int | None) -> tuple[g
 
 
 def _cmd_eval(args) -> int:
-    resolved = _resolve(
-        args,
-        {"index_column": "index_column", "train_fraction": "train_fraction",
-         "eval_seed": "eval_seed", "seed": "seed"},
-    )
+    resolved = _resolve(args)
     payload = trainer.load_checkpoint(args.checkpoint)
-    validation = _load_validation_panel(args, resolved)
+    validation = _load_split(args, resolved)[1].validation
     out = Path(_require(args, "out"))
     out.mkdir(parents=True, exist_ok=True)
 
-    flat = dict(payload["config"])
-    flat["train_fraction"] = resolved["train_fraction"]
-    flat["index_column"] = resolved["index_column"]
-    trainer.write_config(flat, out / trainer.RUN_CONFIG)
+    trainer.write_config(_with_data_keys(payload["config"], resolved), out / trainer.RUN_CONFIG)
 
-    bag_mode = str(payload["config"].get("bag_mode", "sparsify_rows"))
+    bag_mode = trainer.config_from_flat(payload["config"]).bag_mode
     population, meta = _population_from_checkpoint(payload, resolved["eval_seed"])
     if population.weights.shape[1] != validation.n_assets:
         raise DataError(
@@ -429,15 +352,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    resolved = _resolve(args, _TRAIN_FLAG_KEYS)
+    resolved = _resolve(args)
     panel, split = _load_split(args, resolved)
     config = _build_train_config(resolved, panel.n_assets)
     out = Path(_require(args, "out"))
     out.mkdir(parents=True, exist_ok=True)
-    trainer.write_config(_full_flat(config, resolved), out / trainer.RUN_CONFIG)
+    trainer.write_config(_with_data_keys(config_to_flat(config), resolved), out / trainer.RUN_CONFIG)
 
-    lr = resolved["learning_rate"]
-    baseline_hyper = replace(config.hyper, learning_rate=0.1 if lr is None else float(lr))
+    baseline_hyper = replace(config.hyper, learning_rate=_role_rate(resolved, BASELINE_HYPER))
     kinds = GRADIENT_KINDS + (OptimizerKind.CMAES,)
     result = trainer.compare_optimizers(
         config, split, kinds=kinds, baseline_hyper=baseline_hyper

@@ -11,12 +11,12 @@ comparisons.
 """
 from __future__ import annotations
 
+import enum
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -49,6 +49,9 @@ __all__ = [
     "train_generator",
     "train_baseline",
     "compare_optimizers",
+    "FlatKey",
+    "FLAT_KEYS",
+    "DATA_DEFAULTS",
     "config_to_flat",
     "config_from_flat",
     "save_checkpoint",
@@ -56,11 +59,9 @@ __all__ = [
     "save_run",
     "save_comparison",
     "format_value",
-    "THREADS_ENV",
 ]
 
 CHECKPOINT_VERSION = 1
-THREADS_ENV = "QD_PORTFOLIO_THREADS"
 
 RUN_CONFIG = "run.config"
 LOSS_CSV = "loss.csv"
@@ -145,82 +146,80 @@ class ComparisonResult:
 
 # --------------------------------------------------------------------------
 # configuration <-> flat mapping
+#
+# The config dataclasses are the schema: each flat key is one field of
+# TrainConfig or of its generator/loss/hyper sections, with that field's
+# type and default.  Only what the fields cannot say is written here.
+
+_RENAMED = {"diversity_weight": "lambda", "corruption_enabled": "corruption"}
+# Unset by default: the run's role picks the rate (GENERATOR_HYPER for the
+# generator, BASELINE_HYPER for the baselines).
+_UNSET_BY_DEFAULT = {"learning_rate"}
+# Keys besides TrainConfig's: how a price CSV becomes the train/validation split.
+DATA_DEFAULTS = {"train_fraction": 0.8, "index_column": "INDEX"}
+
+
+@dataclass(frozen=True)
+class FlatKey:
+    """Where one flat configuration key lives in TrainConfig, and its values."""
+
+    section: str | None  # the TrainConfig field holding the key; None: TrainConfig itself
+    field: str
+    type: type           # int, float, bool, str or OptimizerKind
+    optional: bool       # None is a valid value
+    default: object      # in flat form; MISSING when the key has none (n_assets)
+
+
+def _flat_value(value):
+    return value.value if isinstance(value, enum.Enum) else value
+
+
+_SECTIONS = {
+    name: hint for name, hint in get_type_hints(TrainConfig).items() if is_dataclass(hint)
+}
+
+
+def _flat_keys() -> dict[str, FlatKey]:
+    keys = {}
+    for section, cls in [(None, TrainConfig), *_SECTIONS.items()]:
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            hint = hints[f.name]
+            if is_dataclass(hint) or (section, f.name) == ("generator", "seed"):
+                continue  # a section of its own; the generator's seed is the run seed
+            name = _RENAMED.get(f.name, f.name)
+            types = [t for t in get_args(hint) if t is not type(None)]
+            keys[name] = FlatKey(
+                section=section,
+                field=f.name,
+                type=types[0] if types else hint,
+                optional=len(types) < len(get_args(hint)),
+                default=None if name in _UNSET_BY_DEFAULT else _flat_value(f.default),
+            )
+    return keys
+
+
+FLAT_KEYS = _flat_keys()
+
 
 def config_to_flat(config: TrainConfig) -> dict:
-    g, l, h = config.generator, config.loss, config.hyper
     return {
-        "iterations": config.iterations,
-        "window": config.window,
-        "seed": config.seed,
-        "eval_seed": config.eval_seed,
-        "eval_every": config.eval_every,
-        "optimizer": OptimizerKind(config.optimizer).value,
-        "bag_mode": config.bag_mode,
-        "n_assets": g.n_assets,
-        "noise_dim": g.noise_dim,
-        "conv_channels": g.conv_channels,
-        "conv_kernel": g.conv_kernel,
-        "lstm_hidden": g.lstm_hidden,
-        "population": g.population,
-        "lambda": l.diversity_weight,
-        "p_zero": l.p_zero,
-        "noise_sigma": l.noise_sigma,
-        "corruption": l.corruption_enabled,
-        "learning_rate": h.learning_rate,
-        "beta1": h.beta1,
-        "beta2": h.beta2,
-        "eps": h.eps,
-        "weight_decay": h.weight_decay,
-        "rmsprop_alpha": h.rmsprop_alpha,
-        "rprop_eta_plus": h.rprop_eta_plus,
-        "rprop_eta_minus": h.rprop_eta_minus,
-        "rprop_step_min": h.rprop_step_min,
-        "rprop_step_max": h.rprop_step_max,
-        "cmaes_sigma0": h.cmaes_sigma0,
+        name: _flat_value(getattr(getattr(config, key.section) if key.section else config, key.field))
+        for name, key in FLAT_KEYS.items()
     }
 
 
 def config_from_flat(flat: dict) -> TrainConfig:
-    generator = gen.GeneratorConfig(
-        n_assets=int(flat["n_assets"]),
-        noise_dim=int(flat["noise_dim"]),
-        conv_channels=int(flat["conv_channels"]),
-        conv_kernel=int(flat["conv_kernel"]),
-        lstm_hidden=int(flat["lstm_hidden"]),
-        population=int(flat["population"]),
-        seed=int(flat["seed"]),
-    )
-    loss = obj.LossConfig(
-        diversity_weight=float(flat["lambda"]),
-        p_zero=float(flat["p_zero"]),
-        noise_sigma=float(flat["noise_sigma"]),
-        corruption_enabled=bool(flat["corruption"]),
-    )
-    hyper = Hyper(
-        learning_rate=float(flat["learning_rate"]),
-        beta1=float(flat["beta1"]),
-        beta2=float(flat["beta2"]),
-        eps=float(flat["eps"]),
-        weight_decay=float(flat["weight_decay"]),
-        rmsprop_alpha=float(flat["rmsprop_alpha"]),
-        rprop_eta_plus=float(flat["rprop_eta_plus"]),
-        rprop_eta_minus=float(flat["rprop_eta_minus"]),
-        rprop_step_min=float(flat["rprop_step_min"]),
-        rprop_step_max=float(flat["rprop_step_max"]),
-        cmaes_sigma0=float(flat["cmaes_sigma0"]),
-    )
-    eval_seed = flat.get("eval_seed")
+    values: dict = {None: {}, **{section: {} for section in _SECTIONS}}
+    for name, key in FLAT_KEYS.items():
+        value = flat[name]
+        if not (key.optional and value in (None, "")):
+            value = key.type(value)
+        values[key.section][key.field] = value
+    top = values.pop(None)
+    values["generator"]["seed"] = top["seed"]
     return TrainConfig(
-        generator=generator,
-        loss=loss,
-        optimizer=OptimizerKind(flat["optimizer"]),
-        hyper=hyper,
-        iterations=int(flat["iterations"]),
-        window=int(flat["window"]),
-        seed=int(flat["seed"]),
-        eval_seed=None if eval_seed in (None, "") else int(eval_seed),
-        eval_every=int(flat.get("eval_every", 1)),
-        bag_mode=str(flat.get("bag_mode", "sparsify_rows")),
+        **top, **{section: cls(**values[section]) for section, cls in _SECTIONS.items()}
     )
 
 
@@ -264,12 +263,12 @@ def _rng_from_state(state: dict) -> np.random.Generator:
 # --------------------------------------------------------------------------
 # checkpoint (de)serialisation
 
-def _pack(arr: np.ndarray) -> dict:
+def pack_array(arr: np.ndarray) -> dict:
     arr = np.asarray(arr, dtype=np.float64)
     return {"shape": list(arr.shape), "data": arr.ravel().tolist()}
 
 
-def _unpack(blob: dict) -> np.ndarray:
+def unpack_array(blob: dict) -> np.ndarray:
     return np.asarray(blob["data"], dtype=np.float64).reshape(blob["shape"])
 
 
@@ -314,21 +313,21 @@ def _generator_payload(
         "iteration": iteration,
         "params": {name: arr.ravel().tolist() for name, arr in params.as_dict().items()},
         "state": {
-            "h": _pack(state.h),
-            "c": _pack(state.c),
+            "h": pack_array(state.h),
+            "c": pack_array(state.c),
             "iteration": state.iteration,
         },
         "optimizer": {
             "kind": opt_state.kind.value,
             "step": opt_state.step,
-            "arrays": {name: _pack(arr) for name, arr in opt_state.arrays.items()},
+            "arrays": {name: pack_array(arr) for name, arr in opt_state.arrays.items()},
         },
         "rng": {
             "noise": _rng_state(streams.noise),
             "windows": _rng_state(streams.windows),
             "corruption": _rng_state(streams.corruption),
         },
-        "eval_noise": _pack(eval_noise),
+        "eval_noise": pack_array(eval_noise),
         "best": {"iteration": best_iteration, "validation_mse": best_mse},
     }
     if best_snapshot is not None:
@@ -346,8 +345,8 @@ def params_from_payload(payload: dict) -> tuple[TrainConfig, gen.GeneratorParams
     }
     params = gen.GeneratorParams(**arrays)
     state = gen.GeneratorState(
-        h=_unpack(payload["state"]["h"]),
-        c=_unpack(payload["state"]["c"]),
+        h=unpack_array(payload["state"]["h"]),
+        c=unpack_array(payload["state"]["c"]),
         iteration=int(payload["state"]["iteration"]),
     )
     return config, params, state
@@ -407,7 +406,7 @@ def train_generator(
         opt_state = OptimizerState(
             kind=OptimizerKind(blob["kind"]),
             step=int(blob["step"]),
-            arrays={name: _unpack(arr) for name, arr in blob["arrays"].items()},
+            arrays={name: unpack_array(arr) for name, arr in blob["arrays"].items()},
         )
         streams = _Streams(
             noise=_rng_from_state(resume["rng"]["noise"]),
@@ -416,7 +415,7 @@ def train_generator(
             init=np.random.default_rng(0),  # consumed before the checkpoint
             evaluation=np.random.default_rng(0),
         )
-        eval_noise = _unpack(resume["eval_noise"])
+        eval_noise = unpack_array(resume["eval_noise"])
         start = int(resume["iteration"])
         best_iteration = int(resume["best"]["iteration"])
         best_mse = float(resume["best"]["validation_mse"])
@@ -530,12 +529,10 @@ def _full_panel_window(panel: ReturnPanel) -> WindowSample:
     )
 
 
-def _validate_logits(logits: np.ndarray, panel: ReturnPanel, bag_mode: str) -> ens.EvalReport:
+def logits_population(logits: np.ndarray) -> gen.Population:
+    """The one-member population a baseline's logits stand for: their sparsemax."""
     weights = gen.sparsemax(logits)
-    population = gen.Population(
-        logits=logits[None, :].copy(), weights=weights[None, :], mode="eval"
-    )
-    return ens.evaluate_population(population, panel, bag_mode=bag_mode)
+    return gen.Population(logits=logits[None, :].copy(), weights=weights[None, :], mode="eval")
 
 
 def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) -> RunArtifacts:
@@ -549,12 +546,25 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
     """
     kind = OptimizerKind(kind)
     n = data.train.n_assets
-    window = _full_panel_window(data.train)
     losses: list[obj.LossReport] = []
     evals: list[EvalRecord] = []
     wall_clock: list[float] = []
     best_mse = float("inf")
     best_iteration = 0
+    best_logits = np.zeros(n)
+
+    def record(i: int, logits: np.ndarray, mse: float) -> None:
+        nonlocal best_mse, best_iteration, best_logits
+        losses.append(obj.LossReport(tracking_mse=mse, max_corr=0.0, total=mse, window_start=0))
+        if i % config.eval_every == 0 or i == config.iterations:
+            report = ens.evaluate_population(
+                logits_population(logits), data.validation, bag_mode=config.bag_mode
+            )
+            evals.append(EvalRecord(iteration=i, report=report))
+            if report.ensemble_mse < best_mse:
+                best_mse = report.ensemble_mse
+                best_iteration = i
+                best_logits = logits.copy()
 
     if kind is OptimizerKind.CMAES:
         returns = data.train.returns
@@ -579,81 +589,31 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
             x0=np.zeros(n),
         )
         total_elapsed = time.monotonic() - t0
-        best_logits = np.zeros(n)
-        for record in result.generations:
-            losses.append(
-                obj.LossReport(
-                    tracking_mse=record.best_f,
-                    max_corr=0.0,
-                    total=record.best_f,
-                    window_start=0,
-                )
-            )
-            if record.generation % config.eval_every == 0 or record.generation == config.iterations:
-                report = _validate_logits(record.best_x, data.validation, config.bag_mode)
-                evals.append(EvalRecord(iteration=record.generation, report=report))
-                if report.ensemble_mse < best_mse:
-                    best_mse = report.ensemble_mse
-                    best_iteration = record.generation
-                    best_logits = record.best_x.copy()
+        for generation in result.generations:
+            record(generation.generation, generation.best_x, generation.best_f)
             wall_clock.append(total_elapsed / max(1, len(result.generations)))
-        final_logits = result.generations[-1].best_x
-        payload = _baseline_payload(
-            config, kind, config.iterations, final_logits, best_iteration, best_mse, best_logits
-        )
-        best_payload = _baseline_payload(
-            config, kind, best_iteration, best_logits, best_iteration, best_mse, best_logits
-        )
-        return RunArtifacts(
-            label=kind.value,
-            config=config_to_flat(config),
-            losses=losses,
-            evals=evals,
-            best_iteration=best_iteration,
-            best_validation_mse=best_mse,
-            final_checkpoint=payload,
-            best_checkpoint=best_payload,
-            evaluations_used=result.evaluations,
-            wall_clock=wall_clock,
-            start_iteration=0,
-        )
+        logits = result.generations[-1].best_x
+        evaluations_used = result.evaluations
+    else:
+        window = _full_panel_window(data.train)
+        logits = np.zeros(n)
+        opt_state = init_state(kind, n, config.hyper)
+        for i in range(1, config.iterations + 1):
+            t0 = time.monotonic()
+            leaf = dc.Node(logits.copy(), op="logits")
+            weights = dc.softmax(dc.reshape(leaf, (1, n)))
+            series = obj.portfolio_returns(weights, window)
+            loss = obj.tracking_loss(series, window.index_returns)
+            dc.backward(loss)
+            grads = leaf.grad if leaf.grad is not None else np.zeros(n)
+            try:
+                logits, opt_state = step(kind, logits, grads, opt_state, config.hyper)
+            except OptimError as e:
+                raise TrainError(f"optimizer failure at iteration {i}: {e}") from e
+            record(i, logits, float(loss.value))
+            wall_clock.append(time.monotonic() - t0)
+        evaluations_used = config.iterations
 
-    logits = np.zeros(n)
-    best_logits = logits.copy()
-    opt_state = init_state(kind, n, config.hyper)
-    for i in range(1, config.iterations + 1):
-        t0 = time.monotonic()
-        leaf = dc.Node(logits.copy(), op="logits")
-        weights = dc.softmax(dc.reshape(leaf, (1, n)))
-        series = obj.portfolio_returns(weights, window)
-        loss = obj.tracking_loss(series, window.index_returns)
-        dc.backward(loss)
-        grads = leaf.grad if leaf.grad is not None else np.zeros(n)
-        try:
-            logits, opt_state = step(kind, logits, grads, opt_state, config.hyper)
-        except OptimError as e:
-            raise TrainError(f"optimizer failure at iteration {i}: {e}") from e
-        losses.append(
-            obj.LossReport(
-                tracking_mse=float(loss.value), max_corr=0.0,
-                total=float(loss.value), window_start=0,
-            )
-        )
-        if i % config.eval_every == 0 or i == config.iterations:
-            report = _validate_logits(logits, data.validation, config.bag_mode)
-            evals.append(EvalRecord(iteration=i, report=report))
-            if report.ensemble_mse < best_mse:
-                best_mse = report.ensemble_mse
-                best_iteration = i
-                best_logits = logits.copy()
-        wall_clock.append(time.monotonic() - t0)
-
-    payload = _baseline_payload(
-        config, kind, config.iterations, logits, best_iteration, best_mse, best_logits
-    )
-    best_payload = _baseline_payload(
-        config, kind, best_iteration, best_logits, best_iteration, best_mse, best_logits
-    )
     return RunArtifacts(
         label=kind.value,
         config=config_to_flat(config),
@@ -661,27 +621,19 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
         evals=evals,
         best_iteration=best_iteration,
         best_validation_mse=best_mse,
-        final_checkpoint=payload,
-        best_checkpoint=best_payload,
-        evaluations_used=config.iterations,
+        final_checkpoint=_baseline_payload(
+            config, kind, config.iterations, logits, best_iteration, best_mse, best_logits
+        ),
+        best_checkpoint=_baseline_payload(
+            config, kind, best_iteration, best_logits, best_iteration, best_mse, best_logits
+        ),
+        evaluations_used=evaluations_used,
         wall_clock=wall_clock,
-        start_iteration=0,
     )
 
 
 # --------------------------------------------------------------------------
 # comparison harness
-
-def _parallelism() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise TrainError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, value)
-
 
 def compare_optimizers(
     config: TrainConfig,
@@ -728,12 +680,7 @@ def compare_optimizers(
         except Exception as e:  # a failed run must be recorded, not raised
             return label, run_seed, None, f"{type(e).__name__}: {e}"
 
-    workers = _parallelism()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_one, tasks))
-    else:
-        outcomes = [run_one(task) for task in tasks]
+    outcomes = [run_one(task) for task in tasks]
 
     rows: list[ComparisonRow] = []
     artifacts: dict[str, RunArtifacts] = {}

@@ -12,6 +12,7 @@ from qdportfolio.cli import (
     parse_config_file,
     render_svg,
 )
+from qdportfolio.trainer import format_value
 
 SMALL_ARCH = """\
 # small architecture for fast tests
@@ -215,8 +216,55 @@ def test_resume_flag_continues_run(workspace, tmp_path, capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["3", "4"]
 
 
-def test_compare_command(workspace, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("QD_PORTFOLIO_THREADS", "2")
+def test_run_config_replays_the_run(workspace, tmp_path, capsys):
+    replay = tmp_path / "replay"
+    assert main(["train", "--data", str(workspace["prices"]),
+                 "--config", str(workspace["run"] / "run.config"),
+                 "--out", str(replay)]) == 0
+    capsys.readouterr()
+    for name in ("run.config", "checkpoint.final", "checkpoint.best", "loss.csv", "eval.csv"):
+        assert (replay / name).read_bytes() == (workspace["run"] / name).read_bytes(), name
+
+
+def test_run_config_on_other_assets_exits_2(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--assets", "6", "--days", "60",
+                 "--sparse", "2", "--seed", "3"]) == 0
+    assert main(["train", "--data", str(data / "prices.csv"),
+                 "--config", str(workspace["run"] / "run.config"),
+                 "--out", str(tmp_path / "r")]) == 2
+    assert "config expects 5 assets, data has 6" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_every_config_key_reaches_the_run(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--assets", "5", "--days", "60",
+                 "--sparse", "2", "--seed", "3", "--index-column", "SPX"]) == 0
+    values = {
+        "iterations": 3, "window": 9, "seed": 11, "eval_seed": 5, "eval_every": 2,
+        "optimizer": "rprop", "bag_mode": "sparsify_mean",
+        "noise_dim": 5, "conv_channels": 2, "conv_kernel": 2, "lstm_hidden": 3,
+        "population": 3, "lambda": 0.25, "p_zero": 0.2, "noise_sigma": 0.02,
+        "corruption": False, "learning_rate": 0.05, "beta1": 0.8, "beta2": 0.99,
+        "eps": 1e-7, "weight_decay": 0.02, "rmsprop_alpha": 0.9,
+        "rprop_eta_plus": 1.3, "rprop_eta_minus": 0.4, "rprop_step_min": 1e-5,
+        "rprop_step_max": 10.0, "cmaes_sigma0": 0.2,
+        "train_fraction": 0.75, "index_column": "SPX",
+    }
+    assert values.keys() == DEFAULTS.keys()
+    assert all(values[key] != DEFAULTS[key] for key in values)
+    config = tmp_path / "all.config"
+    config.write_text("".join(f"{key}={format_value(v)}\n" for key, v in values.items()))
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data / "prices.csv"),
+                 "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    written = read_config_lines(out / "run.config")
+    assert written == {**{k: format_value(v) for k, v in values.items()}, "n_assets": "5"}
+
+
+def test_compare_command(workspace, tmp_path, capsys):
     out = tmp_path / "cmp"
     assert main(["compare", "--data", str(workspace["prices"]),
                  "--config", str(workspace["config"]), "--out", str(out),

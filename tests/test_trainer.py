@@ -12,7 +12,6 @@ from qdportfolio.objective import LossConfig
 from qdportfolio.optim import GRADIENT_KINDS, Hyper, OptimizerKind
 from qdportfolio.trainer import (
     CHECKPOINT_VERSION,
-    THREADS_ENV,
     ComparisonRow,
     TrainConfig,
     TrainError,
@@ -224,8 +223,7 @@ def test_baseline_is_deterministic_across_calls():
     assert a.best_validation_mse == b.best_validation_mse
 
 
-def test_compare_schema_and_determinism(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "1")
+def test_compare_schema_and_determinism():
     data = make_data()
     config = make_config(iterations=3)
     result = compare_optimizers(config, data)
@@ -238,14 +236,9 @@ def test_compare_schema_and_determinism(monkeypatch):
     # per-task seeds are derived, not positional accidents
     again = compare_optimizers(config, data)
     assert result.rows == again.rows
-    # threaded execution must not change the outcome
-    monkeypatch.setenv(THREADS_ENV, "4")
-    threaded = compare_optimizers(config, data)
-    assert threaded.rows == result.rows
 
 
 def test_compare_records_failures(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "1")
     real = trainer.train_baseline
 
     def flaky(kind, config, data):
@@ -263,12 +256,6 @@ def test_compare_records_failures(monkeypatch):
     assert failed[0].evaluations_used == 0
     assert result.rows[-1] is failed[0]          # failures sort last
     assert "rprop" not in result.artifacts
-
-
-def test_parallelism_env_validation(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "three")
-    with pytest.raises(TrainError, match=THREADS_ENV):
-        compare_optimizers(make_config(iterations=2), make_data())
 
 
 def test_format_value():
@@ -308,8 +295,7 @@ def test_save_run_layout(tmp_path):
     assert canon(reloaded) == canon(run.final_checkpoint)
 
 
-def test_save_comparison_layout(tmp_path, monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "1")
+def test_save_comparison_layout(tmp_path):
     result = compare_optimizers(
         make_config(iterations=2), make_data(),
         kinds=(OptimizerKind.SGD, OptimizerKind.ADAM),
