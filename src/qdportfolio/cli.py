@@ -357,7 +357,9 @@ def _cmd_compare(args) -> int:
     config = _build_train_config(resolved, panel.n_assets)
     out = Path(_require(args, "out"))
     out.mkdir(parents=True, exist_ok=True)
-    trainer.write_config(_with_data_keys(config_to_flat(config), resolved), out / trainer.RUN_CONFIG)
+    # the configured rate, not the generator's: unset, each role runs at its own
+    flat = {**config_to_flat(config), "learning_rate": resolved["learning_rate"]}
+    trainer.write_config(_with_data_keys(flat, resolved), out / trainer.RUN_CONFIG)
 
     baseline_hyper = replace(config.hyper, learning_rate=_role_rate(resolved, BASELINE_HYPER))
     kinds = GRADIENT_KINDS + (OptimizerKind.CMAES,)

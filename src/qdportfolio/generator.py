@@ -29,7 +29,6 @@ __all__ = [
     "sample_noise",
     "forward",
     "param_nodes",
-    "param_nodes_from_flat",
     "sparsemax",
 ]
 
@@ -113,11 +112,9 @@ class GeneratorParams:
     def flatten(self) -> np.ndarray:
         return np.concatenate([getattr(self, name).ravel() for name in PARAM_ORDER])
 
-    def copy(self) -> "GeneratorParams":
-        return GeneratorParams(**{name: getattr(self, name).copy() for name in PARAM_ORDER})
-
     @classmethod
     def from_flat(cls, config: GeneratorConfig, flat: np.ndarray) -> "GeneratorParams":
+        """Named views into `flat`, which is not copied when it is float64."""
         flat = np.asarray(flat, dtype=np.float64)
         if flat.shape != (config.parameter_count,):
             raise ValueError(
@@ -127,7 +124,7 @@ class GeneratorParams:
         offset = 0
         for name, shape in param_shapes(config).items():
             size = int(np.prod(shape))
-            arrays[name] = flat[offset : offset + size].reshape(shape).copy()
+            arrays[name] = flat[offset : offset + size].reshape(shape)
             offset += size
         return cls(**arrays)
 
@@ -144,9 +141,6 @@ class GeneratorState:
     def zeros(cls, config: GeneratorConfig) -> "GeneratorState":
         shape = (config.population, config.lstm_hidden)
         return cls(h=np.zeros(shape), c=np.zeros(shape), iteration=0)
-
-    def copy(self) -> "GeneratorState":
-        return GeneratorState(h=self.h.copy(), c=self.c.copy(), iteration=self.iteration)
 
 
 @dataclass
@@ -206,18 +200,6 @@ def sample_noise(config: GeneratorConfig, rng: np.random.Generator) -> np.ndarra
 
 def param_nodes(params: GeneratorParams) -> dict[str, dc.Node]:
     return {name: dc.Node(arr, op=name) for name, arr in params.as_dict().items()}
-
-
-def param_nodes_from_flat(flat_node: dc.Node, config: GeneratorConfig) -> dict[str, dc.Node]:
-    """Carve parameter nodes out of one flat leaf (used for gradient checks)."""
-    nodes = {}
-    offset = 0
-    for name, shape in param_shapes(config).items():
-        size = int(np.prod(shape))
-        piece = dc.slice_last(flat_node, offset, offset + size)
-        nodes[name] = dc.reshape(piece, shape) if len(shape) > 1 else piece
-        offset += size
-    return nodes
 
 
 def _decode(pnodes: Mapping[str, dc.Node], state: GeneratorState, noise: np.ndarray):

@@ -210,6 +210,9 @@ def config_to_flat(config: TrainConfig) -> dict:
 
 
 def config_from_flat(flat: dict) -> TrainConfig:
+    missing = [name for name in FLAT_KEYS if name not in flat]
+    if missing:
+        raise DataError(f"configuration lacks key: {', '.join(missing)}")
     values: dict = {None: {}, **{section: {} for section in _SECTIONS}}
     for name, key in FLAT_KEYS.items():
         value = flat[name]
@@ -221,43 +224,6 @@ def config_from_flat(flat: dict) -> TrainConfig:
     return TrainConfig(
         **top, **{section: cls(**values[section]) for section, cls in _SECTIONS.items()}
     )
-
-
-# --------------------------------------------------------------------------
-# random streams
-
-@dataclass
-class _Streams:
-    noise: np.random.Generator
-    windows: np.random.Generator
-    corruption: np.random.Generator
-    init: np.random.Generator
-    evaluation: np.random.Generator
-
-
-def _expand_streams(seed: int, eval_seed: int | None) -> _Streams:
-    children = np.random.SeedSequence(seed).spawn(5)
-    if eval_seed is not None:
-        eval_ss = np.random.SeedSequence(eval_seed)
-    else:
-        eval_ss = children[4]
-    return _Streams(
-        noise=np.random.default_rng(children[0]),
-        windows=np.random.default_rng(children[1]),
-        corruption=np.random.default_rng(children[2]),
-        init=np.random.default_rng(children[3]),
-        evaluation=np.random.default_rng(eval_ss),
-    )
-
-
-def _rng_state(rng: np.random.Generator) -> dict:
-    return rng.bit_generator.state
-
-
-def _rng_from_state(state: dict) -> np.random.Generator:
-    bit = np.random.PCG64()
-    bit.state = state
-    return np.random.Generator(bit)
 
 
 # --------------------------------------------------------------------------
@@ -294,62 +260,129 @@ def load_checkpoint(path: str | Path) -> dict:
     return payload
 
 
-def _generator_payload(
-    config: TrainConfig,
-    iteration: int,
-    params: gen.GeneratorParams,
-    state: gen.GeneratorState,
-    opt_state: OptimizerState,
-    streams: _Streams,
-    eval_noise: np.ndarray,
-    best_iteration: int,
-    best_mse: float,
-    best_snapshot: dict | None,
-) -> dict:
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "kind": "generator",
-        "config": config_to_flat(config),
-        "iteration": iteration,
-        "params": {name: arr.ravel().tolist() for name, arr in params.as_dict().items()},
-        "state": {
-            "h": pack_array(state.h),
-            "c": pack_array(state.c),
-            "iteration": state.iteration,
-        },
-        "optimizer": {
-            "kind": opt_state.kind.value,
-            "step": opt_state.step,
-            "arrays": {name: pack_array(arr) for name, arr in opt_state.arrays.items()},
-        },
-        "rng": {
-            "noise": _rng_state(streams.noise),
-            "windows": _rng_state(streams.windows),
-            "corruption": _rng_state(streams.corruption),
-        },
-        "eval_noise": pack_array(eval_noise),
-        "best": {"iteration": best_iteration, "validation_mse": best_mse},
-    }
-    if best_snapshot is not None:
-        payload["best_state"] = best_snapshot
-    return payload
+# --------------------------------------------------------------------------
+# generator run state
+
+# The random streams a run draws from on every iteration.  The run seed's
+# other two children, initialisation and evaluation noise, are spent at
+# iteration 0.
+_CARRIED_STREAMS = ("noise", "windows", "corruption")
+
+
+def _rng_from_state(state: dict) -> np.random.Generator:
+    bit = np.random.PCG64()
+    bit.state = state
+    return np.random.Generator(bit)
+
+
+@dataclass(frozen=True)
+class _Snapshot:
+    """A generator run's whole state after `iteration` iterations.
+
+    The fields are references, not copies: `step` and `gen.forward` return
+    fresh arrays, so a snapshot kept as the best is never overwritten.
+    """
+
+    iteration: int
+    theta: np.ndarray  # the flat parameter vector, in PARAM_ORDER
+    state: gen.GeneratorState
+    optimizer: OptimizerState
+    rng: dict  # bit-generator state of each carried stream
+    eval_noise: np.ndarray
+    best_iteration: int = 0
+    best_mse: float = float("inf")
+
+    @classmethod
+    def start(cls, config: TrainConfig) -> "_Snapshot":
+        """Iteration 0, drawn from independent children of the run seed."""
+        *carried, init, evaluation = np.random.SeedSequence(config.seed).spawn(5)
+        if config.eval_seed is not None:
+            evaluation = np.random.SeedSequence(config.eval_seed)
+        return cls(
+            iteration=0,
+            theta=gen.init_params(config.generator, np.random.default_rng(init)).flatten(),
+            state=gen.GeneratorState.zeros(config.generator),
+            optimizer=init_state(config.optimizer, config.generator.parameter_count, config.hyper),
+            rng={name: np.random.PCG64(seq).state for name, seq in zip(_CARRIED_STREAMS, carried)},
+            eval_noise=gen.sample_noise(config.generator, np.random.default_rng(evaluation)),
+        )
+
+    def encode(self, config: TrainConfig, best_state: dict | None = None) -> dict:
+        """The checkpoint document; `best_state` is nested when given."""
+        params = gen.GeneratorParams.from_flat(config.generator, self.theta)
+        payload = {
+            "format_version": CHECKPOINT_VERSION,
+            "kind": "generator",
+            "config": config_to_flat(config),
+            "iteration": self.iteration,
+            "params": {name: arr.ravel().tolist() for name, arr in params.as_dict().items()},
+            "state": {
+                "h": pack_array(self.state.h),
+                "c": pack_array(self.state.c),
+                "iteration": self.state.iteration,
+            },
+            "optimizer": {
+                "kind": self.optimizer.kind.value,
+                "step": self.optimizer.step,
+                "arrays": {name: pack_array(arr) for name, arr in self.optimizer.arrays.items()},
+            },
+            "rng": self.rng,
+            "eval_noise": pack_array(self.eval_noise),
+            "best": {"iteration": self.best_iteration, "validation_mse": self.best_mse},
+        }
+        if best_state is not None:
+            payload["best_state"] = best_state
+        return payload
+
+    @classmethod
+    def decode(cls, payload: dict) -> "_Snapshot":
+        blob = payload["optimizer"]
+        return cls(
+            iteration=int(payload["iteration"]),
+            theta=np.concatenate([
+                np.asarray(payload["params"][name], dtype=np.float64) for name in gen.PARAM_ORDER
+            ]),
+            state=gen.GeneratorState(
+                h=unpack_array(payload["state"]["h"]),
+                c=unpack_array(payload["state"]["c"]),
+                iteration=int(payload["state"]["iteration"]),
+            ),
+            optimizer=OptimizerState(
+                kind=OptimizerKind(blob["kind"]),
+                step=int(blob["step"]),
+                arrays={name: unpack_array(arr) for name, arr in blob["arrays"].items()},
+            ),
+            rng={name: payload["rng"][name] for name in _CARRIED_STREAMS},
+            eval_noise=unpack_array(payload["eval_noise"]),
+            best_iteration=int(payload["best"]["iteration"]),
+            best_mse=float(payload["best"]["validation_mse"]),
+        )
 
 
 def params_from_payload(payload: dict) -> tuple[TrainConfig, gen.GeneratorParams, gen.GeneratorState]:
     """Rebuild the configuration, parameters and recurrent state."""
     config = config_from_flat(payload["config"])
-    shapes = gen.param_shapes(config.generator)
-    arrays = {
-        name: np.asarray(payload["params"][name], dtype=np.float64).reshape(shape)
-        for name, shape in shapes.items()
-    }
-    params = gen.GeneratorParams(**arrays)
-    state = gen.GeneratorState(
-        h=unpack_array(payload["state"]["h"]),
-        c=unpack_array(payload["state"]["c"]),
-        iteration=int(payload["state"]["iteration"]),
-    )
-    return config, params, state
+    snapshot = _Snapshot.decode(payload)
+    return config, gen.GeneratorParams.from_flat(config.generator, snapshot.theta), snapshot.state
+
+
+def _resume_from(config: TrainConfig, resume: dict) -> tuple[_Snapshot, _Snapshot | None]:
+    """The checkpoint's snapshot and its best, once it is known to continue `config`."""
+    if resume.get("kind") != "generator":
+        raise TrainError("checkpoint does not describe a generator run")
+    saved = config_to_flat(config_from_flat(resume["config"]))
+    current = config_to_flat(config)
+    mismatched = [k for k in current if k != "iterations" and current[k] != saved[k]]
+    if mismatched:
+        raise TrainError(f"checkpoint configuration differs on: {', '.join(sorted(mismatched))}")
+    start = _Snapshot.decode(resume)
+    if start.iteration >= config.iterations:
+        raise TrainError(
+            f"checkpoint is at iteration {start.iteration}, "
+            f"nothing to do before {config.iterations}"
+        )
+    best = _Snapshot.decode(resume["best_state"]) if "best_state" in resume else None
+    return start, best
 
 
 # --------------------------------------------------------------------------
@@ -378,71 +411,32 @@ def train_generator(
             f"window {config.window} exceeds training rows {data.train.n_rows}"
         )
     kind = OptimizerKind(config.optimizer)
-    dim = config.generator.parameter_count
-
     if resume is None:
-        streams = _expand_streams(config.seed, config.eval_seed)
-        params = gen.init_params(config.generator, streams.init)
-        state = gen.GeneratorState.zeros(config.generator)
-        opt_state = init_state(kind, dim, config.hyper)
-        eval_noise = gen.sample_noise(config.generator, streams.evaluation)
-        start = 0
-        best_iteration = 0
-        best_mse = float("inf")
-        best_snapshot: dict | None = None
+        start, best = _Snapshot.start(config), None
     else:
-        if resume.get("kind") != "generator":
-            raise TrainError("checkpoint does not describe a generator run")
-        saved = dict(resume["config"])
-        current = config_to_flat(config)
-        mismatched = [
-            k for k in current
-            if k != "iterations" and current[k] != saved.get(k)
-        ]
-        if mismatched:
-            raise TrainError(f"checkpoint configuration differs on: {', '.join(sorted(mismatched))}")
-        _, params, state = params_from_payload(resume)
-        blob = resume["optimizer"]
-        opt_state = OptimizerState(
-            kind=OptimizerKind(blob["kind"]),
-            step=int(blob["step"]),
-            arrays={name: unpack_array(arr) for name, arr in blob["arrays"].items()},
+        start, best = _resume_from(config, resume)
+    theta, state, opt_state = start.theta, start.state, start.optimizer
+    best_iteration, best_mse = start.best_iteration, start.best_mse
+    rngs = {name: _rng_from_state(rng_state) for name, rng_state in start.rng.items()}
+
+    def snapshot(i: int) -> _Snapshot:
+        rng_states = {name: rng.bit_generator.state for name, rng in rngs.items()}
+        return _Snapshot(
+            i, theta, state, opt_state, rng_states, start.eval_noise, best_iteration, best_mse
         )
-        streams = _Streams(
-            noise=_rng_from_state(resume["rng"]["noise"]),
-            windows=_rng_from_state(resume["rng"]["windows"]),
-            corruption=_rng_from_state(resume["rng"]["corruption"]),
-            init=np.random.default_rng(0),  # consumed before the checkpoint
-            evaluation=np.random.default_rng(0),
-        )
-        eval_noise = unpack_array(resume["eval_noise"])
-        start = int(resume["iteration"])
-        best_iteration = int(resume["best"]["iteration"])
-        best_mse = float(resume["best"]["validation_mse"])
-        best_snapshot = resume.get("best_state")
-        if best_snapshot is not None:
-            # the carried snapshot must read as if this run had the new
-            # iteration target from the start
-            best_snapshot = {
-                **best_snapshot,
-                "config": {**best_snapshot["config"], "iterations": config.iterations},
-            }
-        if start >= config.iterations:
-            raise TrainError(
-                f"checkpoint is at iteration {start}, nothing to do before {config.iterations}"
-            )
 
     losses: list[obj.LossReport] = []
     evals: list[EvalRecord] = []
     wall_clock: list[float] = []
 
-    for i in range(start + 1, config.iterations + 1):
+    for i in range(start.iteration + 1, config.iterations + 1):
         t0 = time.monotonic()
-        window = sample_window(data.train, config.window, streams.windows)
-        noise = gen.sample_noise(config.generator, streams.noise)
+        params = gen.GeneratorParams.from_flat(config.generator, theta)
+        window = sample_window(data.train, config.window, rngs["windows"])
+        noise = gen.sample_noise(config.generator, rngs["noise"])
         try:
             result = obj.total_loss(
-                params, state, noise, window, config.loss, streams.corruption
+                params, state, noise, window, config.loss, rngs["corruption"]
             )
         except dc.NonFiniteError as e:
             raise TrainError(f"non-finite loss at iteration {i}: {e}") from e
@@ -458,32 +452,28 @@ def train_generator(
             for name in gen.PARAM_ORDER
         ])
         try:
-            flat, opt_state = step(kind, params.flatten(), grads, opt_state, config.hyper)
+            theta, opt_state = step(kind, theta, grads, opt_state, config.hyper)
         except OptimError as e:
             raise TrainError(f"optimizer failure at iteration {i}: {e}") from e
-        params = gen.GeneratorParams.from_flat(config.generator, flat)
         state = result.new_state
         losses.append(result.report)
 
         if i % config.eval_every == 0 or i == config.iterations:
-            eval_fwd = gen.forward(params, state, eval_noise, mode="eval")
+            eval_fwd = gen.forward(
+                gen.GeneratorParams.from_flat(config.generator, theta), state,
+                start.eval_noise, mode="eval",
+            )
             report = ens.evaluate_population(
                 eval_fwd.population, data.validation, bag_mode=config.bag_mode
             )
             evals.append(EvalRecord(iteration=i, report=report))
             if report.ensemble_mse < best_mse:
-                best_mse = report.ensemble_mse
-                best_iteration = i
-                best_snapshot = _generator_payload(
-                    config, i, params, state, opt_state, streams, eval_noise,
-                    best_iteration, best_mse, None,
-                )
+                best_iteration, best_mse = i, report.ensemble_mse
+                best = snapshot(i)
         wall_clock.append(time.monotonic() - t0)
 
-    final = _generator_payload(
-        config, config.iterations, params, state, opt_state, streams, eval_noise,
-        best_iteration, best_mse, best_snapshot,
-    )
+    best_checkpoint = best.encode(config) if best is not None else None
+    final_checkpoint = snapshot(config.iterations).encode(config, best_checkpoint)
     return RunArtifacts(
         label="proposed",
         config=config_to_flat(config),
@@ -491,11 +481,11 @@ def train_generator(
         evals=evals,
         best_iteration=best_iteration,
         best_validation_mse=best_mse,
-        final_checkpoint=final,
-        best_checkpoint=best_snapshot if best_snapshot is not None else final,
+        final_checkpoint=final_checkpoint,
+        best_checkpoint=best_checkpoint or final_checkpoint,
         evaluations_used=config.generator.population * config.iterations,
         wall_clock=wall_clock,
-        start_iteration=start,
+        start_iteration=start.iteration,
     )
 
 
@@ -644,30 +634,19 @@ def compare_optimizers(
     """Run every requested baseline plus the proposed method.
 
     Each run gets its own seed derived from the master seed and its task
-    index, so results do not depend on scheduling.  A failed run is
+    index.  A failed run is
     recorded as failed with its error message, never dropped.  Rows are
     sorted by best validation MSE, failures last.
     """
-    ordered: list[OptimizerKind] = []
-    for kind in kinds:
-        kind = OptimizerKind(kind)
-        if kind not in ordered:
-            ordered.append(kind)
-
-    tasks: list[tuple[str, OptimizerKind | None, int]] = []
-    for idx, kind in enumerate(ordered):
+    ordered = list(dict.fromkeys(OptimizerKind(kind) for kind in kinds))
+    rows: list[ComparisonRow] = []
+    artifacts: dict[str, RunArtifacts] = {}
+    for idx, kind in enumerate([*ordered, None]):  # None: the proposed generator
+        label = "proposed" if kind is None else kind.value
         run_seed = int(np.random.SeedSequence([config.seed, idx]).generate_state(1)[0])
-        tasks.append((kind.value, kind, run_seed))
-    proposed_seed = int(
-        np.random.SeedSequence([config.seed, len(ordered)]).generate_state(1)[0]
-    )
-    tasks.append(("proposed", None, proposed_seed))
-
-    def run_one(task) -> tuple[str, int, RunArtifacts | None, str]:
-        label, kind, run_seed = task
         try:
             if kind is None:
-                artifacts = train_generator(replace(config, seed=run_seed), data)
+                art = train_generator(replace(config, seed=run_seed), data)
             else:
                 baseline_config = replace(
                     config,
@@ -675,33 +654,24 @@ def compare_optimizers(
                     hyper=baseline_hyper,
                     optimizer=OptimizerKind.ADAMW if kind is OptimizerKind.CMAES else kind,
                 )
-                artifacts = train_baseline(kind, baseline_config, data)
-            return label, run_seed, artifacts, ""
+                art = train_baseline(kind, baseline_config, data)
         except Exception as e:  # a failed run must be recorded, not raised
-            return label, run_seed, None, f"{type(e).__name__}: {e}"
-
-    outcomes = [run_one(task) for task in tasks]
-
-    rows: list[ComparisonRow] = []
-    artifacts: dict[str, RunArtifacts] = {}
-    for label, run_seed, art, error in outcomes:
-        if art is None:
             rows.append(
                 ComparisonRow(
                     optimizer=label, status="failed",
                     best_validation_mse=float("nan"),
-                    evaluations_used=0, seed=run_seed, error=error,
+                    evaluations_used=0, seed=run_seed, error=f"{type(e).__name__}: {e}",
                 )
             )
-        else:
-            artifacts[label] = art
-            rows.append(
-                ComparisonRow(
-                    optimizer=label, status="ok",
-                    best_validation_mse=art.best_validation_mse,
-                    evaluations_used=art.evaluations_used, seed=run_seed,
-                )
+            continue
+        artifacts[label] = art
+        rows.append(
+            ComparisonRow(
+                optimizer=label, status="ok",
+                best_validation_mse=art.best_validation_mse,
+                evaluations_used=art.evaluations_used, seed=run_seed,
             )
+        )
     rows.sort(key=lambda r: (r.status != "ok", r.best_validation_mse if r.status == "ok" else 0.0, r.optimizer))
     return ComparisonResult(rows=rows, artifacts=artifacts)
 

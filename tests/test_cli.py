@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, artifact layout, determinism, SVG."""
+import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -280,6 +281,19 @@ def test_compare_command(workspace, tmp_path, capsys):
     assert (out / "runs" / "proposed" / "checkpoint.best").exists()
 
 
+def test_compare_run_config_replays_the_table(workspace, tmp_path, capsys):
+    out, replay = tmp_path / "cmp", tmp_path / "replay"
+    assert main(["compare", "--data", str(workspace["prices"]),
+                 "--config", str(workspace["config"]), "--out", str(out),
+                 "--iterations", "2"]) == 0
+    assert main(["compare", "--data", str(workspace["prices"]),
+                 "--config", str(out / "run.config"), "--out", str(replay)]) == 0
+    capsys.readouterr()
+    # unset stays unset, so each role keeps its own rate on replay
+    assert read_config_lines(out / "run.config")["learning_rate"] == ""
+    assert (replay / "table.csv").read_bytes() == (out / "table.csv").read_bytes()
+
+
 # ----------------------------------------------------------------------
 # exit codes
 
@@ -314,6 +328,23 @@ def test_data_errors_exit_2(workspace, tmp_path, capsys):
     assert main(["plot", "--data", str(tmp_path / "absent.csv"),
                  "--out", str(tmp_path / "r4")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["eval", "resume"])
+def test_checkpoint_lacking_a_config_key_exits_2(workspace, tmp_path, capsys, command):
+    payload = json.loads((workspace["run"] / "checkpoint.final").read_text())
+    del payload["config"]["window"]
+    broken = tmp_path / "checkpoint.final"
+    broken.write_text(json.dumps(payload))
+    if command == "eval":
+        argv = ["eval", str(broken), "--data", str(workspace["prices"])]
+    else:
+        argv = ["train", "--data", str(workspace["prices"]), "--config", str(workspace["config"]),
+                "--iterations", "6", "--resume", str(broken)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "error: data:" in err
+    assert "window" in err
 
 
 def test_numerical_errors_exit_3_after_config_written(workspace, tmp_path, capsys):

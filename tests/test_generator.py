@@ -12,7 +12,6 @@ from qdportfolio.generator import (
     GeneratorState,
     forward,
     init_params,
-    param_nodes_from_flat,
     param_shapes,
     sample_noise,
     sparsemax,
@@ -83,9 +82,12 @@ def test_init_params_deterministic_and_forget_biased():
 
 def test_flatten_from_flat_round_trip():
     params = init_params(TINY, np.random.default_rng(4))
-    again = GeneratorParams.from_flat(TINY, params.flatten())
+    flat = params.flatten()
+    again = GeneratorParams.from_flat(TINY, flat)
     for name in PARAM_ORDER:
         np.testing.assert_array_equal(getattr(again, name), getattr(params, name))
+        # views, not copies: the training loop carries only the flat vector
+        assert np.shares_memory(getattr(again, name), flat)
     with pytest.raises(ValueError):
         GeneratorParams.from_flat(TINY, np.zeros(TINY.parameter_count + 1))
 
@@ -193,11 +195,3 @@ def test_state_carries_across_iterations():
     # resetting the state reproduces the first output exactly
     again = forward(params, GeneratorState.zeros(TINY), noise, mode="train")
     np.testing.assert_array_equal(again.population.logits, first.population.logits)
-
-
-def test_param_nodes_from_flat_matches_direct_forward():
-    params = init_params(TINY, np.random.default_rng(8))
-    flat_node = dc.Node(params.flatten(), op="theta")
-    carved = param_nodes_from_flat(flat_node, TINY)
-    for name in PARAM_ORDER:
-        np.testing.assert_array_equal(carved[name].value, getattr(params, name))

@@ -1,6 +1,7 @@
 """Training loops: determinism, resume, checkpoints, baselines, comparison."""
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,6 +132,18 @@ def test_resume_is_bit_identical_to_uninterrupted():
     assert canon(resumed.final_checkpoint) == canon(full.final_checkpoint)
     assert canon(resumed.best_checkpoint) == canon(full.best_checkpoint)
     assert [r.total for r in resumed.losses] == [r.total for r in full.losses[4:]]
+
+
+def test_resume_carries_a_best_it_never_beats():
+    data = make_data()
+    config = make_config(iterations=8, hyper=Hyper(learning_rate=0.3))
+    full = train_generator(config, data)
+    assert full.best_iteration == 3          # before the resume point, never beaten
+    first = train_generator(replace(config, iterations=4), data)
+    resumed = train_generator(config, data, resume=first.final_checkpoint)
+    assert resumed.best_iteration == 3
+    assert canon(resumed.final_checkpoint) == canon(full.final_checkpoint)
+    assert canon(resumed.best_checkpoint) == canon(full.best_checkpoint)
 
 
 def test_resume_rejects_mismatched_config():
