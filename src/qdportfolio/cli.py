@@ -287,7 +287,7 @@ def _population_from_checkpoint(payload: dict, eval_seed: int | None) -> tuple[g
         meta = {"checkpoint_kind": "generator", "iteration": payload["iteration"]}
         return result.population, meta
     if kind == "baseline":
-        population = trainer.logits_population(np.asarray(payload["logits"], dtype=np.float64))
+        population = trainer.logits_population(trainer.unpack_array(payload["logits"]))
         meta = {
             "checkpoint_kind": f"baseline:{payload.get('optimizer', '?')}",
             "iteration": payload["iteration"],

@@ -110,20 +110,23 @@ def evaluate_population(
 ) -> EvalReport:
     """Evaluate every member and the bagged ensemble on one panel."""
     ensemble = bag(population, mode=bag_mode)
-    sub_evals = [evaluate(row, panel) for row in population.weights]
     ens_eval = evaluate(ensemble.weights, panel)
-    sub_returns = np.vstack([e.returns for e in sub_evals])
-    if len(sub_evals) > 1:
+    # one matrix-vector product per member: a single (B, N) @ (N, T)
+    # product rounds differently in the last bits
+    sub_returns = np.vstack([panel.returns @ row for row in population.weights])
+    deviation = sub_returns - panel.index_returns
+    sub_mse = np.mean(deviation * deviation, axis=1)
+    if len(sub_mse) > 1:
         corr = pairwise_correlations(sub_returns)
-        iu, ju = np.triu_indices(len(sub_evals), k=1)
+        iu, ju = np.triu_indices(len(sub_mse), k=1)
         max_corr = float(corr[iu, ju].max())
     else:
         max_corr = 0.0
     return EvalReport(
         ensemble_mse=ens_eval.mse,
         ensemble_l2=ens_eval.l2_norm,
-        mean_sub_mse=float(np.mean([e.mse for e in sub_evals])),
-        sub_mse=tuple(e.mse for e in sub_evals),
+        mean_sub_mse=float(np.mean(sub_mse)),
+        sub_mse=tuple(sub_mse.tolist()),
         max_corr=max_corr,
         support_size=ensemble.support_size,
         ensemble_weights=ensemble.weights,

@@ -6,13 +6,18 @@ never perturbs the others.  Checkpoints are a versioned JSON document
 carrying the configuration, all parameter and optimizer arrays, the
 recurrent state, the random-stream positions and the fixed evaluation
 noise: loading one and resuming is bit-identical to the uninterrupted
-run.  Wall-clock timings are recorded but excluded from artifact
-comparisons.
+run.  Every float64 array is stored as the base64 of its raw
+little-endian bytes, so a checkpoint holds each value exactly and decodes
+without parsing decimals.  Wall-clock timings are recorded but excluded
+from artifact comparisons.
 """
 from __future__ import annotations
 
+import base64
 import enum
 import json
+import math
+import os
 import time
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -61,7 +66,9 @@ __all__ = [
     "format_value",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# Version 1 stored arrays as decimal JSON lists; it is still read.
+_READABLE_VERSIONS = (1, CHECKPOINT_VERSION)
 
 RUN_CONFIG = "run.config"
 LOSS_CSV = "loss.csv"
@@ -217,31 +224,67 @@ def config_from_flat(flat: dict) -> TrainConfig:
     for name, key in FLAT_KEYS.items():
         value = flat[name]
         if not (key.optional and value in (None, "")):
-            value = key.type(value)
+            try:
+                value = key.type(value)
+            except (TypeError, ValueError):
+                raise DataError(f"bad value for configuration key {name}: {value!r}") from None
         values[key.section][key.field] = value
     top = values.pop(None)
     values["generator"]["seed"] = top["seed"]
-    return TrainConfig(
-        **top, **{section: cls(**values[section]) for section, cls in _SECTIONS.items()}
-    )
+    try:
+        sections = {section: cls(**values[section]) for section, cls in _SECTIONS.items()}
+        return TrainConfig(**top, **sections)
+    except ValueError as e:
+        raise DataError(f"invalid configuration: {e}") from None
 
 
 # --------------------------------------------------------------------------
 # checkpoint (de)serialisation
 
 def pack_array(arr: np.ndarray) -> dict:
+    """A float64 array as its shape and the base64 of its C-order little-endian bytes."""
     arr = np.asarray(arr, dtype=np.float64)
-    return {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+    raw = arr.astype("<f8", copy=False).tobytes()
+    return {"shape": list(arr.shape), "f64le": base64.b64encode(raw).decode("ascii")}
 
 
-def unpack_array(blob: dict) -> np.ndarray:
-    return np.asarray(blob["data"], dtype=np.float64).reshape(blob["shape"])
+def unpack_array(blob: dict | list) -> np.ndarray:
+    """The float64 array `pack_array` stored, or a version-1 list or shape/data pair."""
+    try:
+        if isinstance(blob, list):  # version 1: generator params, baseline logits
+            return np.asarray(blob, dtype=np.float64)
+        shape = [int(n) for n in blob["shape"]]
+        if "data" in blob:  # version 1
+            return np.asarray(blob["data"], dtype=np.float64).reshape(shape)
+        raw = base64.b64decode(blob["f64le"], validate=True)
+    except KeyError as e:
+        raise DataError(f"stored array lacks field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise DataError(f"malformed stored array: {e}") from None
+    if min(shape, default=0) < 0 or len(raw) != 8 * math.prod(shape):
+        raise DataError(f"stored array of shape {shape} holds {len(raw)} bytes")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def save_checkpoint(payload: dict, path: str | Path) -> None:
+    """Write `payload` to a temporary file beside `path`, then move it into place."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True))
+    tmp = path.with_name(f"{path.name}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload, sort_keys=True))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+# The top-level fields of each kind of checkpoint; nested fields are
+# checked where they are decoded.
+_CHECKPOINT_FIELDS = {
+    "generator": ("config", "iteration", "params", "state", "optimizer", "rng", "eval_noise", "best"),
+    "baseline": ("config", "iteration", "logits", "best"),
+}
 
 
 def load_checkpoint(path: str | Path) -> dict:
@@ -252,11 +295,16 @@ def load_checkpoint(path: str | Path) -> dict:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise DataError(f"unreadable checkpoint {path}: {e}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"checkpoint {path} is not a JSON object")
     version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise DataError(
-            f"unsupported checkpoint format_version {version!r} (expected {CHECKPOINT_VERSION})"
+            f"unsupported checkpoint format_version {version!r} (expected one of {_READABLE_VERSIONS})"
         )
+    missing = [name for name in _CHECKPOINT_FIELDS.get(payload.get("kind"), ()) if name not in payload]
+    if missing:
+        raise DataError(f"checkpoint {path} lacks field: {', '.join(missing)}")
     return payload
 
 
@@ -315,7 +363,7 @@ class _Snapshot:
             "kind": "generator",
             "config": config_to_flat(config),
             "iteration": self.iteration,
-            "params": {name: arr.ravel().tolist() for name, arr in params.as_dict().items()},
+            "params": {name: pack_array(arr) for name, arr in params.as_dict().items()},
             "state": {
                 "h": pack_array(self.state.h),
                 "c": pack_array(self.state.c),
@@ -336,27 +384,31 @@ class _Snapshot:
 
     @classmethod
     def decode(cls, payload: dict) -> "_Snapshot":
-        blob = payload["optimizer"]
-        return cls(
-            iteration=int(payload["iteration"]),
-            theta=np.concatenate([
-                np.asarray(payload["params"][name], dtype=np.float64) for name in gen.PARAM_ORDER
-            ]),
-            state=gen.GeneratorState(
-                h=unpack_array(payload["state"]["h"]),
-                c=unpack_array(payload["state"]["c"]),
-                iteration=int(payload["state"]["iteration"]),
-            ),
-            optimizer=OptimizerState(
-                kind=OptimizerKind(blob["kind"]),
-                step=int(blob["step"]),
-                arrays={name: unpack_array(arr) for name, arr in blob["arrays"].items()},
-            ),
-            rng={name: payload["rng"][name] for name in _CARRIED_STREAMS},
-            eval_noise=unpack_array(payload["eval_noise"]),
-            best_iteration=int(payload["best"]["iteration"]),
-            best_mse=float(payload["best"]["validation_mse"]),
-        )
+        """Read a checkpoint document of any readable version."""
+        try:
+            blob = payload["optimizer"]
+            return cls(
+                iteration=int(payload["iteration"]),
+                theta=np.concatenate([
+                    unpack_array(payload["params"][name]).ravel() for name in gen.PARAM_ORDER
+                ]),
+                state=gen.GeneratorState(
+                    h=unpack_array(payload["state"]["h"]),
+                    c=unpack_array(payload["state"]["c"]),
+                    iteration=int(payload["state"]["iteration"]),
+                ),
+                optimizer=OptimizerState(
+                    kind=OptimizerKind(blob["kind"]),
+                    step=int(blob["step"]),
+                    arrays={name: unpack_array(arr) for name, arr in blob["arrays"].items()},
+                ),
+                rng={name: payload["rng"][name] for name in _CARRIED_STREAMS},
+                eval_noise=unpack_array(payload["eval_noise"]),
+                best_iteration=int(payload["best"]["iteration"]),
+                best_mse=float(payload["best"]["validation_mse"]),
+            )
+        except KeyError as e:
+            raise DataError(f"checkpoint lacks field {e}") from None
 
 
 def params_from_payload(payload: dict) -> tuple[TrainConfig, gen.GeneratorParams, gen.GeneratorState]:
@@ -501,11 +553,11 @@ def _baseline_payload(config: TrainConfig, kind: OptimizerKind, iteration: int,
         "optimizer": kind.value,
         "config": config_to_flat(config),
         "iteration": iteration,
-        "logits": logits.tolist(),
+        "logits": pack_array(logits),
         "best": {
             "iteration": best_iteration,
             "validation_mse": best_mse,
-            "logits": best_logits.tolist(),
+            "logits": pack_array(best_logits),
         },
     }
 

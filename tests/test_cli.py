@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, artifact layout, determinism, SVG."""
+import base64
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qdportfolio import trainer
 from qdportfolio.cli import (
     DEFAULTS,
     UsageError,
@@ -14,6 +16,9 @@ from qdportfolio.cli import (
     render_svg,
 )
 from qdportfolio.trainer import format_value
+
+# Written by checkpoint format version 1; its README says how.
+V1_FIXTURE = Path(__file__).parent / "data" / "checkpoint_v1"
 
 SMALL_ARCH = """\
 # small architecture for fast tests
@@ -345,6 +350,76 @@ def test_checkpoint_lacking_a_config_key_exits_2(workspace, tmp_path, capsys, co
     err = capsys.readouterr().err
     assert "error: data:" in err
     assert "window" in err
+
+
+def _drop_last_value(payload):
+    blob = payload["eval_noise"]
+    blob["f64le"] = base64.b64encode(base64.b64decode(blob["f64le"])[:-8]).decode("ascii")
+
+
+_CHECKPOINT_FAULTS = {
+    "bad_value": (lambda payload: payload["config"].update(window="abc"), "window"),
+    "missing_section": (lambda payload: payload.pop("params"), "params"),
+    "short_array": (_drop_last_value, "bytes"),
+    "truncated": (None, "unreadable checkpoint"),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "resume"])
+@pytest.mark.parametrize("fault", sorted(_CHECKPOINT_FAULTS))
+def test_malformed_checkpoint_exits_2(workspace, tmp_path, capsys, command, fault):
+    text = (workspace["run"] / "checkpoint.final").read_text()
+    damage, named = _CHECKPOINT_FAULTS[fault]
+    if damage is None:
+        text = text[: len(text) // 2]
+    else:
+        payload = json.loads(text)
+        damage(payload)
+        text = json.dumps(payload)
+    broken = tmp_path / "checkpoint.final"
+    broken.write_text(text)
+    if command == "eval":
+        argv = ["eval", str(broken), "--data", str(workspace["prices"])]
+    else:
+        argv = ["train", "--data", str(workspace["prices"]), "--config", str(workspace["config"]),
+                "--iterations", "6", "--resume", str(broken)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:")
+    assert named in err
+
+
+@pytest.mark.parametrize("kind", ["generator", "baseline"])
+def test_v1_checkpoint_evaluates_as_before(tmp_path, capsys, kind):
+    out = tmp_path / "eval"
+    assert main(["eval", str(V1_FIXTURE / f"{kind}.checkpoint"),
+                 "--data", str(V1_FIXTURE / "prices.csv"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert (out / "report.txt").read_text() == (V1_FIXTURE / f"{kind}.report.txt").read_text()
+
+
+def test_resume_from_v1_checkpoint_matches_its_v2_encoding(tmp_path, capsys):
+    v1 = trainer.load_checkpoint(V1_FIXTURE / "generator.checkpoint")
+    assert v1["format_version"] == 1
+    config = trainer.config_from_flat(v1["config"])
+    best = trainer._Snapshot.decode(v1["best_state"]).encode(config)
+    v2 = trainer._Snapshot.decode(v1).encode(config, best)
+    assert v2["format_version"] == 2
+    trainer.save_checkpoint(v2, tmp_path / "v2.checkpoint")
+    base = ["train", "--data", str(V1_FIXTURE / "prices.csv"),
+            "--config", str(V1_FIXTURE / "small.config"), "--seed", "4", "--iterations", "4"]
+    runs = {}
+    for name, checkpoint in [("v1", V1_FIXTURE / "generator.checkpoint"),
+                             ("v2", tmp_path / "v2.checkpoint")]:
+        runs[name] = tmp_path / name
+        assert main(base + ["--resume", str(checkpoint), "--out", str(runs[name])]) == 0
+    capsys.readouterr()
+    names = {p.name for p in runs["v1"].iterdir()} - {"timing.csv"}
+    for name in sorted(names):
+        assert (runs["v1"] / name).read_bytes() == (runs["v2"] / name).read_bytes(), name
+    # the continuation is the one format version 1's code computed
+    for name in ("loss.csv", "eval.csv"):
+        assert (runs["v1"] / name).read_text() == (V1_FIXTURE / f"resumed.{name}").read_text()
 
 
 def test_numerical_errors_exit_3_after_config_written(workspace, tmp_path, capsys):

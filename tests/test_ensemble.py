@@ -144,6 +144,18 @@ def test_evaluate_population_report_consistency():
         assert mse == pytest.approx(np.mean(dev**2), rel=1e-12)
 
 
+@pytest.mark.parametrize("batch", [1, 5, 64])
+def test_evaluate_population_equals_member_by_member_evaluate(batch):
+    panel, _ = synth_dataset(n_assets=30, n_days=700, k_sparse=4, noise_scale=0.002, seed=batch)
+    population = random_population(np.random.default_rng(batch), batch, 30)
+    report = evaluate_population(population, panel)
+    members = [evaluate(row, panel) for row in population.weights]
+    # the reference is evaluated one member at a time: equal to the last bit
+    assert report.sub_returns.tobytes() == np.vstack([m.returns for m in members]).tobytes()
+    assert report.sub_mse == tuple(m.mse for m in members)
+    assert report.mean_sub_mse == float(np.mean([m.mse for m in members]))
+
+
 def test_evaluate_population_single_member_corr_is_zero():
     panel, _ = make_panel(n_assets=4, seed=2)
     population = make_population(sparsemax(np.array([[0.9, 0.1, -0.2, 0.0]])))

@@ -1,10 +1,14 @@
 """Training loops: determinism, resume, checkpoints, baselines, comparison."""
+import base64
 import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qdportfolio import trainer
 from qdportfolio.generator import GeneratorConfig
@@ -24,9 +28,11 @@ from qdportfolio.trainer import (
     params_from_payload,
     save_checkpoint,
     save_comparison,
+    pack_array,
     save_run,
     train_baseline,
     train_generator,
+    unpack_array,
     write_config,
 )
 
@@ -83,6 +89,20 @@ def test_config_flat_round_trip():
     derived = config_from_flat(config_to_flat(make_config(seed=42)))
     assert derived.generator.seed == 42
     assert config_to_flat(make_config())["eval_seed"] is None
+
+
+def test_config_from_flat_rejects_bad_values():
+    flat = config_to_flat(make_config())
+    with pytest.raises(DataError, match="window: 'abc'"):
+        config_from_flat({**flat, "window": "abc"})
+    with pytest.raises(DataError, match="seed: None"):
+        config_from_flat({**flat, "seed": None})
+    with pytest.raises(DataError, match="optimizer: 'lbfgs'"):
+        config_from_flat({**flat, "optimizer": "lbfgs"})
+    with pytest.raises(DataError, match="window must be at least 2"):
+        config_from_flat({**flat, "window": 1})
+    with pytest.raises(DataError, match="learning rate must be positive"):
+        config_from_flat({**flat, "learning_rate": -1.0})
 
 
 def test_train_generator_is_deterministic():
@@ -206,6 +226,90 @@ def test_load_checkpoint_errors(tmp_path):
     wrong.write_text(json.dumps({"format_version": CHECKPOINT_VERSION + 1}))
     with pytest.raises(DataError, match="version"):
         load_checkpoint(wrong)
+
+
+def test_load_checkpoint_rejects_incomplete_documents(tmp_path):
+    payload = train_generator(make_config(iterations=2), make_data()).final_checkpoint
+    path = tmp_path / "checkpoint.final"
+    save_checkpoint({k: v for k, v in payload.items() if k != "state"}, path)
+    with pytest.raises(DataError, match="lacks field: state"):
+        load_checkpoint(path)
+    path.write_text("[2]")
+    with pytest.raises(DataError, match="not a JSON object"):
+        load_checkpoint(path)
+    del payload["best_state"]["state"]["h"]
+    with pytest.raises(DataError, match="lacks field 'h'"):
+        params_from_payload(payload["best_state"])
+
+
+def test_save_checkpoint_leaves_the_old_file_when_the_move_fails(tmp_path, monkeypatch):
+    path = tmp_path / "checkpoint.final"
+    save_checkpoint({"format_version": CHECKPOINT_VERSION, "step": 1}, path)
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(trainer.os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint({"format_version": CHECKPOINT_VERSION, "step": 2}, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+# Bit patterns a decimal or lossy encoding could get wrong.
+_SPECIAL_BITS = [
+    0x0000000000000000,  # 0.0
+    0x8000000000000000,  # -0.0
+    0x0000000000000001,  # smallest subnormal
+    0x800FFFFFFFFFFFFF,  # largest negative subnormal
+    0x7FF0000000000000,  # inf
+    0xFFF0000000000000,  # -inf
+    0x7FF8000000000000,  # quiet NaN
+    0x7FF0000000000001,  # signalling NaN
+    0xFFFDEADBEEF12345,  # negative NaN with a payload
+]
+
+
+@given(
+    bits=hnp.arrays(
+        np.uint64,
+        hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4),
+        elements=st.one_of(st.sampled_from(_SPECIAL_BITS), st.integers(0, 2**64 - 1)),
+    ),
+    transpose=st.booleans(),
+)
+def test_pack_array_round_trip_is_bit_exact(bits, transpose):
+    arr = bits.view(np.float64)
+    if transpose:
+        arr = arr.T  # not C-contiguous
+    blob = json.loads(json.dumps(pack_array(arr)))
+    out = unpack_array(blob)
+    assert out.dtype == np.float64
+    assert out.shape == arr.shape
+    assert out.tobytes() == arr.tobytes()
+    assert out.flags.writeable
+
+
+def test_unpack_array_reads_version_1_forms():
+    np.testing.assert_array_equal(unpack_array([0.5, -2.0]), [0.5, -2.0])
+    two_by_two = unpack_array({"shape": [2, 2], "data": [1.0, 2.0, 3.0, 4.0]})
+    np.testing.assert_array_equal(two_by_two, [[1.0, 2.0], [3.0, 4.0]])
+    assert unpack_array({"shape": [], "data": [0.25]}).shape == ()
+
+
+@pytest.mark.parametrize("blob, message", [
+    ({"shape": [2]}, "lacks field 'f64le'"),
+    ({"f64le": ""}, "lacks field 'shape'"),
+    ({"shape": [1], "f64le": "AAAA!AAAAAA="}, "malformed"),
+    ({"shape": [2], "f64le": base64.b64encode(bytes(8)).decode()}, "holds 8 bytes"),
+    ({"shape": [-1, -1], "f64le": base64.b64encode(bytes(8)).decode()}, "holds 8 bytes"),
+    ({"shape": [2, 2], "data": [1.0, 2.0, 3.0]}, "malformed"),
+    ({"shape": "x", "f64le": ""}, "malformed"),
+])
+def test_unpack_array_rejects_malformed_blobs(blob, message):
+    with pytest.raises(DataError, match=message):
+        unpack_array(blob)
 
 
 @pytest.mark.parametrize("kind", GRADIENT_KINDS, ids=lambda k: k.value)
