@@ -18,7 +18,6 @@ import numpy as np
 
 from . import diffcore as dc
 from . import ensemble as ens
-from . import generator as gen
 from . import trainer
 from .marketdata import (
     DataError,
@@ -28,6 +27,7 @@ from .marketdata import (
     synth_dataset,
     time_split,
     write_prices,
+    write_text,
 )
 from .optim import BASELINE_HYPER, GENERATOR_HYPER, GRADIENT_KINDS, Hyper, OptimError, OptimizerKind
 from .trainer import TrainConfig, TrainError, config_to_flat, format_value
@@ -48,37 +48,8 @@ class UsageError(Exception):
     """Bad flags, bad config keys or malformed option values."""
 
 
-DEFAULTS: dict = {
-    **{name: key.default for name, key in trainer.FLAT_KEYS.items() if key.default is not MISSING},
-    **trainer.DATA_DEFAULTS,
-}
-_TYPES = {
-    **{name: key.type for name, key in trainer.FLAT_KEYS.items()},
-    **{name: type(default) for name, default in trainer.DATA_DEFAULTS.items()},
-}
-
-_TRUE_WORDS = {"true", "1", "yes", "on"}
-_FALSE_WORDS = {"false", "0", "no", "off"}
-
-
-def _coerce(key: str, raw: str):
-    raw = raw.strip()
-    kind = _TYPES[key]
-    if raw == "" and DEFAULTS.get(key, MISSING) is None:
-        return None
-    try:
-        if kind is bool:
-            low = raw.lower()
-            if low in _TRUE_WORDS:
-                return True
-            if low in _FALSE_WORDS:
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind in (int, float):
-            return kind(raw)
-    except ValueError as e:
-        raise UsageError(f"bad value for {key}: {e}") from None
-    return raw
+_KEYS = {**trainer.FLAT_KEYS, **trainer.DATA_KEYS}
+DEFAULTS: dict = {name: key.default for name, key in _KEYS.items() if key.default is not MISSING}
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -95,9 +66,12 @@ def parse_config_file(path: str | Path) -> dict:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _TYPES:
+        if key not in _KEYS:
             raise UsageError(f"{path}:{lineno}: unknown configuration key: {key}")
-        values[key] = _coerce(key, raw)
+        try:
+            values[key] = _KEYS[key].parse(raw)
+        except DataError as e:
+            raise UsageError(f"{path}:{lineno}: {e}") from None
     return values
 
 
@@ -174,7 +148,7 @@ def _resolve(args) -> dict:
         resolved.update(parse_config_file(args.config))
     for attr, value in vars(args).items():
         key = attr.rstrip("_")
-        if key in _TYPES and value is not None:
+        if key in _KEYS and value is not None:
             resolved[key] = value
     return resolved
 
@@ -208,7 +182,7 @@ def _build_train_config(resolved: dict, n_assets: int) -> TrainConfig:
 
 
 def _with_data_keys(flat: dict, resolved: dict) -> dict:
-    return {**flat, **{key: resolved[key] for key in trainer.DATA_DEFAULTS}}
+    return {**flat, **{key: resolved[key] for key in trainer.DATA_KEYS}}
 
 
 def _load_split(args, resolved: dict):
@@ -223,9 +197,7 @@ def _load_split(args, resolved: dict):
 def _cmd_ingest(args) -> int:
     resolved = _resolve(args)
     table = load_prices(_require(args, "data"), resolved["index_column"])
-    out = Path(_require(args, "out"))
-    out.mkdir(parents=True, exist_ok=True)
-    write_prices(table, out / "prices.csv")
+    write_prices(table, Path(_require(args, "out")) / "prices.csv")
     print(f"rows={table.n_rows} assets={table.n_assets} index={table.index_name}")
     return 0
 
@@ -242,14 +214,11 @@ def _cmd_synth(args) -> int:
         seed=resolved["seed"],
     )
     out = Path(_require(args, "out"))
-    out.mkdir(parents=True, exist_ok=True)
     table = panel_to_prices(panel, index_name=resolved["index_column"])
     write_prices(table, out / "prices.csv")
-    lines = ["ticker,weight"]
-    for ticker, weight in zip(panel.tickers, true_weights):
-        if weight > 0:
-            lines.append(f"{ticker},{format_value(float(weight))}")
-    (out / "true_weights.csv").write_text("\n".join(lines) + "\n")
+    trainer.write_rows(out / "true_weights.csv", ["ticker", "weight"], [
+        (ticker, weight) for ticker, weight in zip(panel.tickers, true_weights) if weight > 0
+    ])
     print(f"rows={table.n_rows} assets={table.n_assets} support={int((true_weights > 0).sum())}")
     return 0
 
@@ -259,7 +228,6 @@ def _cmd_train(args) -> int:
     panel, split = _load_split(args, resolved)
     config = _build_train_config(resolved, panel.n_assets)
     out = Path(_require(args, "out"))
-    out.mkdir(parents=True, exist_ok=True)
     flat = _with_data_keys(config_to_flat(config), resolved)
     trainer.write_config(flat, out / trainer.RUN_CONFIG)
 
@@ -274,47 +242,24 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _population_from_checkpoint(payload: dict, eval_seed: int | None) -> tuple[gen.Population, dict]:
-    kind = payload.get("kind")
-    if kind == "generator":
-        config, params, state = trainer.params_from_payload(payload)
-        if eval_seed is not None:
-            rng = np.random.default_rng(np.random.SeedSequence(eval_seed))
-            noise = gen.sample_noise(config.generator, rng)
-        else:
-            noise = trainer.unpack_array(payload["eval_noise"])
-        result = gen.forward(params, state, noise, mode="eval")
-        meta = {"checkpoint_kind": "generator", "iteration": payload["iteration"]}
-        return result.population, meta
-    if kind == "baseline":
-        population = trainer.logits_population(trainer.unpack_array(payload["logits"]))
-        meta = {
-            "checkpoint_kind": f"baseline:{payload.get('optimizer', '?')}",
-            "iteration": payload["iteration"],
-        }
-        return population, meta
-    raise DataError(f"checkpoint kind {kind!r} is not scoreable")
-
-
 def _cmd_eval(args) -> int:
     resolved = _resolve(args)
     payload = trainer.load_checkpoint(args.checkpoint)
+    config, population = trainer.checkpoint_population(payload, resolved["eval_seed"])
     validation = _load_split(args, resolved)[1].validation
     out = Path(_require(args, "out"))
-    out.mkdir(parents=True, exist_ok=True)
-
-    trainer.write_config(_with_data_keys(payload["config"], resolved), out / trainer.RUN_CONFIG)
-
-    bag_mode = trainer.config_from_flat(payload["config"]).bag_mode
-    population, meta = _population_from_checkpoint(payload, resolved["eval_seed"])
-    if population.weights.shape[1] != validation.n_assets:
+    trainer.write_config(_with_data_keys(config_to_flat(config), resolved), out / trainer.RUN_CONFIG)
+    if config.generator.n_assets != validation.n_assets:
         raise DataError(
-            f"checkpoint expects {population.weights.shape[1]} assets, "
+            f"checkpoint expects {config.generator.n_assets} assets, "
             f"data has {validation.n_assets}"
         )
-    report = ens.evaluate_population(population, validation, bag_mode=bag_mode)
+    report = ens.evaluate_population(population, validation, bag_mode=config.bag_mode)
 
-    summary = {
+    kind = payload["kind"]
+    if kind == "baseline":
+        kind = f"baseline:{payload.get('optimizer', '?')}"
+    trainer.write_config({
         "ensemble_mse": report.ensemble_mse,
         "ensemble_l2": report.ensemble_l2,
         "mean_sub_mse": report.mean_sub_mse,
@@ -322,31 +267,21 @@ def _cmd_eval(args) -> int:
         "support_size": report.support_size,
         "population": population.weights.shape[0],
         "validation_rows": validation.n_rows,
-        **meta,
-    }
-    report_lines = [f"{key}={format_value(summary[key])}" for key in sorted(summary)]
-    (out / REPORT_TXT).write_text("\n".join(report_lines) + "\n")
-
-    header = ["date", "index", "ensemble"] + [
-        f"sub_{i:04d}" for i in range(report.sub_returns.shape[0])
-    ]
-    series_lines = [",".join(header)]
-    for t in range(validation.n_rows):
-        row = [
-            validation.dates[t].isoformat(),
-            format_value(float(report.index_returns[t])),
-            format_value(float(report.ensemble_returns[t])),
-        ]
-        row += [format_value(float(v)) for v in report.sub_returns[:, t]]
-        series_lines.append(",".join(row))
-    (out / SERIES_CSV).write_text("\n".join(series_lines) + "\n")
-
-    weight_lines = ["ticker,weight"]
-    for ticker, weight in zip(validation.tickers, report.ensemble_weights):
-        if weight >= ens.EXPORT_WEIGHT_FLOOR:
-            weight_lines.append(f"{ticker},{format_value(float(weight))}")
-    (out / WEIGHTS_CSV).write_text("\n".join(weight_lines) + "\n")
-
+        "checkpoint_kind": kind,
+        "iteration": payload["iteration"],
+    }, out / REPORT_TXT)
+    members = [f"sub_{i:04d}" for i in range(report.sub_returns.shape[0])]
+    trainer.write_rows(out / SERIES_CSV, ["date", "index", "ensemble", *members], (
+        (day.isoformat(), index, ensemble, *subs)
+        for day, index, ensemble, subs in zip(
+            validation.dates, report.index_returns.tolist(),
+            report.ensemble_returns.tolist(), report.sub_returns.T.tolist(),
+        )
+    ))
+    trainer.write_rows(out / WEIGHTS_CSV, ["ticker", "weight"], [
+        (ticker, weight) for ticker, weight in zip(validation.tickers, report.ensemble_weights)
+        if weight >= ens.EXPORT_WEIGHT_FLOOR
+    ])
     print(f"ensemble_mse={format_value(report.ensemble_mse)}")
     return 0
 
@@ -356,7 +291,6 @@ def _cmd_compare(args) -> int:
     panel, split = _load_split(args, resolved)
     config = _build_train_config(resolved, panel.n_assets)
     out = Path(_require(args, "out"))
-    out.mkdir(parents=True, exist_ok=True)
     # the configured rate, not the generator's: unset, each role runs at its own
     flat = {**config_to_flat(config), "learning_rate": resolved["learning_rate"]}
     trainer.write_config(_with_data_keys(flat, resolved), out / trainer.RUN_CONFIG)
@@ -442,11 +376,9 @@ def _cmd_plot(args) -> int:
         ]
     except (ValueError, IndexError) as e:
         raise DataError(f"{path}: malformed series row: {e}") from None
-    svg = render_svg(names, data)
-    out = Path(_require(args, "out"))
-    out.mkdir(parents=True, exist_ok=True)
-    (out / PLOT_SVG).write_text(svg)
-    print(f"wrote {out / PLOT_SVG}")
+    target = Path(_require(args, "out")) / PLOT_SVG
+    write_text(target, render_svg(names, data))
+    print(f"wrote {target}")
     return 0
 
 

@@ -4,12 +4,14 @@ The on-disk format is a wide CSV: a `date` column of ISO-8601 dates
 followed by one column per ticker.  One of the columns is designated as
 the index to be tracked; the remaining columns are the investable assets.
 All tables are immutable after construction (arrays are marked
-read-only) so they can be shared freely across threads.
+read-only).  Every file the package writes goes through `write_text`.
 """
 from __future__ import annotations
 
 import csv
+import io
 import math
+import os
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
 from pathlib import Path
@@ -24,6 +26,7 @@ __all__ = [
     "WindowSample",
     "load_prices",
     "write_prices",
+    "write_text",
     "compute_log_returns",
     "panel_to_prices",
     "time_split",
@@ -200,18 +203,34 @@ def load_prices(path: str | Path, index_column: str) -> PriceTable:
     )
 
 
-def write_prices(table: PriceTable, path: str | Path) -> None:
-    """Write a price table back to the wide CSV format at full precision."""
+def write_text(path: str | Path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then move it into place.
+
+    A failed write leaves the old file whole.  There is no fsync: a finished
+    move survives a killed process, not a power cut.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", table.index_name, *table.tickers])
-        for i, day in enumerate(table.dates):
-            writer.writerow(
-                [day.isoformat(), repr(float(table.index_prices[i]))]
-                + [repr(float(v)) for v in table.prices[i]]
-            )
+    tmp = path.with_name(f"{path.name}.tmp")
+    try:
+        tmp.write_text(text, newline="")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_prices(table: PriceTable, path: str | Path) -> None:
+    """Write a price table back to the wide CSV format at full precision."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["date", table.index_name, *table.tickers])
+    for i, day in enumerate(table.dates):
+        writer.writerow(
+            [day.isoformat(), repr(float(table.index_prices[i]))]
+            + [repr(float(v)) for v in table.prices[i]]
+        )
+    write_text(path, buffer.getvalue())
 
 
 def compute_log_returns(table: PriceTable) -> ReturnPanel:

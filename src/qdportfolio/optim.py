@@ -97,18 +97,15 @@ BASELINE_HYPER = Hyper(learning_rate=0.1)
 
 @dataclass
 class OptimizerState:
-    """Step counter plus per-kind auxiliary arrays, all owned copies."""
+    """Step counter plus per-kind auxiliary arrays.
+
+    `step` never writes into a state's arrays: each rule binds fresh arrays
+    to the keys it updates, so a state can be kept while training goes on.
+    """
 
     kind: OptimizerKind
     step: int
     arrays: dict[str, np.ndarray]
-
-    def copy(self) -> "OptimizerState":
-        return OptimizerState(
-            kind=self.kind,
-            step=self.step,
-            arrays={k: v.copy() for k, v in self.arrays.items()},
-        )
 
 
 def init_state(kind: OptimizerKind, dim: int, hyper: Hyper) -> OptimizerState:
@@ -158,8 +155,7 @@ def step(
     if not np.all(np.isfinite(params)):
         raise OptimError("non-finite parameters")
 
-    new = state.copy()
-    new.step = state.step + 1
+    new = OptimizerState(kind=kind, step=state.step + 1, arrays=dict(state.arrays))
 
     # Extreme hyperparameters may overflow transiently; the finiteness
     # check below turns that into an OptimError instead of a warning.

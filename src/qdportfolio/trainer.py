@@ -17,7 +17,6 @@ import base64
 import enum
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -29,7 +28,7 @@ from . import diffcore as dc
 from . import ensemble as ens
 from . import generator as gen
 from . import objective as obj
-from .marketdata import DataError, ReturnPanel, SplitPanels, WindowSample, sample_window
+from .marketdata import DataError, ReturnPanel, SplitPanels, WindowSample, sample_window, write_text
 from .optim import (
     BASELINE_HYPER,
     GENERATOR_HYPER,
@@ -56,14 +55,16 @@ __all__ = [
     "compare_optimizers",
     "FlatKey",
     "FLAT_KEYS",
-    "DATA_DEFAULTS",
+    "DATA_KEYS",
     "config_to_flat",
     "config_from_flat",
+    "checkpoint_population",
     "save_checkpoint",
     "load_checkpoint",
     "save_run",
     "save_comparison",
     "format_value",
+    "write_rows",
 ]
 
 CHECKPOINT_VERSION = 2
@@ -162,19 +163,42 @@ _RENAMED = {"diversity_weight": "lambda", "corruption_enabled": "corruption"}
 # Unset by default: the run's role picks the rate (GENERATOR_HYPER for the
 # generator, BASELINE_HYPER for the baselines).
 _UNSET_BY_DEFAULT = {"learning_rate"}
-# Keys besides TrainConfig's: how a price CSV becomes the train/validation split.
-DATA_DEFAULTS = {"train_fraction": 0.8, "index_column": "INDEX"}
+_BOOL_WORDS = {**dict.fromkeys(("true", "yes", "on", "1"), True),
+               **dict.fromkeys(("false", "no", "off", "0"), False)}
 
 
 @dataclass(frozen=True)
 class FlatKey:
-    """Where one flat configuration key lives in TrainConfig, and its values."""
+    """One flat configuration key: its values and where it lives in TrainConfig."""
 
-    section: str | None  # the TrainConfig field holding the key; None: TrainConfig itself
-    field: str
+    name: str
     type: type           # int, float, bool, str or OptimizerKind
-    optional: bool       # None is a valid value
+    optional: bool       # None is a valid value in TrainConfig
     default: object      # in flat form; MISSING when the key has none (n_assets)
+    section: str | None = None  # the TrainConfig field holding the key; None: TrainConfig itself
+    field: str | None = None    # None: a data key, outside TrainConfig
+
+    def parse(self, value):
+        """This key's value from config-file text or from a checkpoint's JSON.
+
+        Blank text or null leaves a key that is unset by default unset.
+        """
+        text = value.strip() if isinstance(value, str) else value
+        if text in (None, "") and self.default is None:
+            return None
+        try:
+            if self.type is bool:
+                return _BOOL_WORDS[str(text).lower()]
+            return self.type(text)
+        except (KeyError, TypeError, ValueError):
+            raise DataError(f"bad value for configuration key {self.name}: {value!r}") from None
+
+
+# Keys besides TrainConfig's: how a price CSV becomes the train/validation split.
+DATA_KEYS = {
+    "train_fraction": FlatKey("train_fraction", float, optional=False, default=0.8),
+    "index_column": FlatKey("index_column", str, optional=False, default="INDEX"),
+}
 
 
 def _flat_value(value):
@@ -197,11 +221,12 @@ def _flat_keys() -> dict[str, FlatKey]:
             name = _RENAMED.get(f.name, f.name)
             types = [t for t in get_args(hint) if t is not type(None)]
             keys[name] = FlatKey(
-                section=section,
-                field=f.name,
+                name=name,
                 type=types[0] if types else hint,
                 optional=len(types) < len(get_args(hint)),
                 default=None if name in _UNSET_BY_DEFAULT else _flat_value(f.default),
+                section=section,
+                field=f.name,
             )
     return keys
 
@@ -222,12 +247,9 @@ def config_from_flat(flat: dict) -> TrainConfig:
         raise DataError(f"configuration lacks key: {', '.join(missing)}")
     values: dict = {None: {}, **{section: {} for section in _SECTIONS}}
     for name, key in FLAT_KEYS.items():
-        value = flat[name]
-        if not (key.optional and value in (None, "")):
-            try:
-                value = key.type(value)
-            except (TypeError, ValueError):
-                raise DataError(f"bad value for configuration key {name}: {value!r}") from None
+        value = key.parse(flat[name])
+        if value is None and not key.optional:
+            raise DataError(f"configuration key {name} is unset")
         values[key.section][key.field] = value
     top = values.pop(None)
     values["generator"]["seed"] = top["seed"]
@@ -266,17 +288,23 @@ def unpack_array(blob: dict | list) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
-def save_checkpoint(payload: dict, path: str | Path) -> None:
-    """Write `payload` to a temporary file beside `path`, then move it into place."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp")
+def _unpack_as(blob: dict | list, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The stored array `name`, which the configuration gives `shape`."""
     try:
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        arr = unpack_array(blob)
+    except DataError as e:
+        raise DataError(f"{name}: {e}") from None
+    if isinstance(blob, list) and arr.size == math.prod(shape):
+        arr = arr.reshape(shape)  # version 1 stored parameters flat
+    if arr.shape != tuple(shape):
+        raise DataError(
+            f"stored array {name} has shape {list(arr.shape)}, its configuration gives {list(shape)}"
+        )
+    return arr
+
+
+def save_checkpoint(payload: dict, path: str | Path) -> None:
+    write_text(path, json.dumps(payload, sort_keys=True))
 
 
 # The top-level fields of each kind of checkpoint; nested fields are
@@ -384,31 +412,51 @@ class _Snapshot:
 
     @classmethod
     def decode(cls, payload: dict) -> "_Snapshot":
-        """Read a checkpoint document of any readable version."""
+        """Read a checkpoint document of any readable version, checked against its config."""
         try:
+            config = config_from_flat(payload["config"])
+            sizes = config.generator
+            rows = (sizes.population, sizes.lstm_hidden)
+            kind = OptimizerKind(config.optimizer)
             blob = payload["optimizer"]
+            if blob["kind"] != kind.value:
+                raise DataError(f"optimizer state is for {blob['kind']!r}, not {kind.value}")
+            initial = init_state(kind, sizes.parameter_count, config.hyper)
             return cls(
                 iteration=int(payload["iteration"]),
                 theta=np.concatenate([
-                    unpack_array(payload["params"][name]).ravel() for name in gen.PARAM_ORDER
+                    _unpack_as(payload["params"][name], f"params.{name}", shape).ravel()
+                    for name, shape in gen.param_shapes(sizes).items()
                 ]),
                 state=gen.GeneratorState(
-                    h=unpack_array(payload["state"]["h"]),
-                    c=unpack_array(payload["state"]["c"]),
+                    h=_unpack_as(payload["state"]["h"], "state.h", rows),
+                    c=_unpack_as(payload["state"]["c"], "state.c", rows),
                     iteration=int(payload["state"]["iteration"]),
                 ),
                 optimizer=OptimizerState(
-                    kind=OptimizerKind(blob["kind"]),
+                    kind=kind,
                     step=int(blob["step"]),
-                    arrays={name: unpack_array(arr) for name, arr in blob["arrays"].items()},
+                    arrays={
+                        name: _unpack_as(blob["arrays"][name], f"optimizer.{name}", arr.shape)
+                        for name, arr in initial.arrays.items()
+                    },
                 ),
-                rng={name: payload["rng"][name] for name in _CARRIED_STREAMS},
-                eval_noise=unpack_array(payload["eval_noise"]),
+                rng={  # a state numpy refuses is refused here, not mid-run
+                    name: _rng_from_state(payload["rng"][name]).bit_generator.state
+                    for name in _CARRIED_STREAMS
+                },
+                eval_noise=_unpack_as(
+                    payload["eval_noise"], "eval_noise", (sizes.population, sizes.noise_dim)
+                ),
                 best_iteration=int(payload["best"]["iteration"]),
                 best_mse=float(payload["best"]["validation_mse"]),
             )
         except KeyError as e:
             raise DataError(f"checkpoint lacks field {e}") from None
+        except DataError:
+            raise
+        except (TypeError, ValueError) as e:
+            raise DataError(f"malformed checkpoint: {e}") from None
 
 
 def params_from_payload(payload: dict) -> tuple[TrainConfig, gen.GeneratorParams, gen.GeneratorState]:
@@ -418,7 +466,28 @@ def params_from_payload(payload: dict) -> tuple[TrainConfig, gen.GeneratorParams
     return config, gen.GeneratorParams.from_flat(config.generator, snapshot.theta), snapshot.state
 
 
-def _resume_from(config: TrainConfig, resume: dict) -> tuple[_Snapshot, _Snapshot | None]:
+def checkpoint_population(payload: dict, eval_seed: int | None) -> tuple[TrainConfig, gen.Population]:
+    """A checkpoint's configuration and the population it scores.
+
+    That is the generator's evaluation pass on its stored noise (on fresh
+    noise from `eval_seed` if given), or the sparsemax of a baseline's logits.
+    """
+    kind = payload.get("kind")
+    if kind not in _CHECKPOINT_FIELDS:
+        raise DataError(f"checkpoint kind {kind!r} is not scoreable")
+    config = config_from_flat(payload["config"])
+    if kind == "baseline":
+        logits = _unpack_as(payload["logits"], "logits", (config.generator.n_assets,))
+        return config, logits_population(logits)
+    snapshot = _Snapshot.decode(payload)
+    noise = snapshot.eval_noise
+    if eval_seed is not None:
+        noise = gen.sample_noise(config.generator, np.random.default_rng(eval_seed))
+    params = gen.GeneratorParams.from_flat(config.generator, snapshot.theta)
+    return config, gen.forward(params, snapshot.state, noise, mode="eval").population
+
+
+def _resume_from(config: TrainConfig, resume: dict) -> tuple[_Snapshot, _Snapshot]:
     """The checkpoint's snapshot and its best, once it is known to continue `config`."""
     if resume.get("kind") != "generator":
         raise TrainError("checkpoint does not describe a generator run")
@@ -433,8 +502,11 @@ def _resume_from(config: TrainConfig, resume: dict) -> tuple[_Snapshot, _Snapsho
             f"checkpoint is at iteration {start.iteration}, "
             f"nothing to do before {config.iterations}"
         )
-    best = _Snapshot.decode(resume["best_state"]) if "best_state" in resume else None
-    return start, best
+    if "best_state" in resume:
+        return start, _Snapshot.decode(resume["best_state"])
+    if start.best_iteration == start.iteration:  # a checkpoint.best is its own best
+        return start, start
+    raise DataError(f"checkpoint lacks best_state for its best iteration {start.best_iteration}")
 
 
 # --------------------------------------------------------------------------
@@ -738,45 +810,34 @@ def format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float's own repr names its type
     return str(value)
 
 
 def write_config(flat: dict, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"{key}={format_value(flat[key])}" for key in sorted(flat)]
-    path.write_text("\n".join(lines) + "\n")
+    """Sorted `key=value` lines: a run.config, or eval's report.txt."""
+    write_text(path, "".join(f"{key}={format_value(flat[key])}\n" for key in sorted(flat)))
+
+
+def write_rows(path: str | Path, header: list[str], rows) -> None:
+    """A CSV file: the header, then one line of `format_value` cells per row."""
+    lines = [",".join(header), *(",".join(map(format_value, row)) for row in rows)]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def save_run(artifacts: RunArtifacts, out_dir: str | Path) -> None:
     """Write the run directory: config, curves, checkpoints, timings."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    first = artifacts.start_iteration + 1
     write_config(artifacts.config, out / RUN_CONFIG)
-
-    loss_lines = ["iteration,tracking_mse,max_corr,total"]
-    for offset, report in enumerate(artifacts.losses, start=artifacts.start_iteration + 1):
-        loss_lines.append(
-            f"{offset},{format_value(report.tracking_mse)},"
-            f"{format_value(report.max_corr)},{format_value(report.total)}"
-        )
-    (out / LOSS_CSV).write_text("\n".join(loss_lines) + "\n")
-
-    eval_lines = ["iteration,ensemble_mse,mean_sub_mse,max_corr"]
-    for record in artifacts.evals:
-        r = record.report
-        eval_lines.append(
-            f"{record.iteration},{format_value(r.ensemble_mse)},"
-            f"{format_value(r.mean_sub_mse)},{format_value(r.max_corr)}"
-        )
-    (out / EVAL_CSV).write_text("\n".join(eval_lines) + "\n")
-
-    timing_lines = ["iteration,seconds"]
-    for offset, seconds in enumerate(artifacts.wall_clock, start=artifacts.start_iteration + 1):
-        timing_lines.append(f"{offset},{format_value(float(seconds))}")
-    (out / TIMING_CSV).write_text("\n".join(timing_lines) + "\n")
-
+    write_rows(out / LOSS_CSV, ["iteration", "tracking_mse", "max_corr", "total"], (
+        (i, r.tracking_mse, r.max_corr, r.total) for i, r in enumerate(artifacts.losses, first)
+    ))
+    write_rows(out / EVAL_CSV, ["iteration", "ensemble_mse", "mean_sub_mse", "max_corr"], (
+        (e.iteration, e.report.ensemble_mse, e.report.mean_sub_mse, e.report.max_corr)
+        for e in artifacts.evals
+    ))
+    write_rows(out / TIMING_CSV, ["iteration", "seconds"], enumerate(artifacts.wall_clock, first))
     save_checkpoint(artifacts.final_checkpoint, out / CHECKPOINT_FINAL)
     save_checkpoint(artifacts.best_checkpoint, out / CHECKPOINT_BEST)
 
@@ -784,21 +845,12 @@ def save_run(artifacts: RunArtifacts, out_dir: str | Path) -> None:
 def save_comparison(result: ComparisonResult, out_dir: str | Path) -> None:
     """Write table.csv (plus failures.csv when needed) and per-run artifacts."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = ["optimizer,best_validation_mse,evaluations_used,seed"]
-    for row in result.rows:
-        lines.append(
-            f"{row.optimizer},{format_value(row.best_validation_mse)},"
-            f"{row.evaluations_used},{row.seed}"
-        )
-    (out / TABLE_CSV).write_text("\n".join(lines) + "\n")
-
-    failures = [row for row in result.rows if row.status != "ok"]
+    write_rows(out / TABLE_CSV, ["optimizer", "best_validation_mse", "evaluations_used", "seed"], (
+        (row.optimizer, row.best_validation_mse, row.evaluations_used, row.seed)
+        for row in result.rows
+    ))
+    failures = [(r.optimizer, r.error.replace(",", ";")) for r in result.rows if r.status != "ok"]
     if failures:
-        fail_lines = ["optimizer,error"]
-        for row in failures:
-            fail_lines.append(f"{row.optimizer},{row.error.replace(',', ';')}")
-        (out / FAILURES_CSV).write_text("\n".join(fail_lines) + "\n")
-
+        write_rows(out / FAILURES_CSV, ["optimizer", "error"], failures)
     for label, art in result.artifacts.items():
         save_run(art, out / "runs" / label)

@@ -1,13 +1,22 @@
 """Command-line interface: exit codes, artifact layout, determinism, SVG."""
 import base64
 import json
+import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qdportfolio import trainer
+from qdportfolio.ensemble import BAG_MODES
+from qdportfolio.generator import GeneratorConfig
+from qdportfolio.marketdata import DataError
+from qdportfolio.objective import LossConfig
+from qdportfolio.optim import GRADIENT_KINDS, Hyper
+from qdportfolio.trainer import TrainConfig
 from qdportfolio.cli import (
     DEFAULTS,
     UsageError,
@@ -357,11 +366,37 @@ def _drop_last_value(payload):
     blob["f64le"] = base64.b64encode(base64.b64decode(blob["f64le"])[:-8]).decode("ascii")
 
 
+def _shorten_dense_b(payload):
+    """`dense_b` one value short, shape included (a v1 list or a v2 blob)."""
+    blob = payload["params"]["dense_b"]
+    if isinstance(blob, list):
+        payload["params"]["dense_b"] = blob[:-1]
+        return
+    raw = base64.b64decode(blob["f64le"])[:-8]
+    payload["params"]["dense_b"] = {"shape": [len(raw) // 8],
+                                    "f64le": base64.b64encode(raw).decode("ascii")}
+
+
 _CHECKPOINT_FAULTS = {
     "bad_value": (lambda payload: payload["config"].update(window="abc"), "window"),
     "missing_section": (lambda payload: payload.pop("params"), "params"),
     "short_array": (_drop_last_value, "bytes"),
     "truncated": (None, "unreadable checkpoint"),
+    "bad_bool": (lambda payload: payload["config"].update(corruption="maybe"), "corruption"),
+    "unset_rate": (lambda payload: payload["config"].update(learning_rate=None), "learning_rate"),
+    "text_iteration": (lambda payload: payload.update(iteration="x"), "malformed checkpoint"),
+    "null_step": (lambda payload: payload["optimizer"].update(step=None), "malformed checkpoint"),
+    "bad_rng": (lambda payload: payload["rng"].update(noise={"state": 5}), "malformed checkpoint"),
+    # well-formed arrays that do not fit the configuration stored beside them
+    "short_param": (_shorten_dense_b, "params.dense_b"),
+    "state_shape": (
+        lambda payload: payload["state"].update(h=trainer.pack_array(np.zeros((3, 3)))),
+        "state.h",
+    ),
+    "noise_shape": (
+        lambda payload: payload.update(eval_noise=trainer.pack_array(np.zeros((4, 5)))),
+        "eval_noise",
+    ),
 }
 
 
@@ -422,6 +457,107 @@ def test_resume_from_v1_checkpoint_matches_its_v2_encoding(tmp_path, capsys):
         assert (runs["v1"] / name).read_text() == (V1_FIXTURE / f"resumed.{name}").read_text()
 
 
+@pytest.mark.parametrize("command", ["eval", "resume"])
+def test_v1_parameter_that_does_not_fit_its_config_exits_2(tmp_path, capsys, command):
+    payload = json.loads((V1_FIXTURE / "generator.checkpoint").read_text())
+    _shorten_dense_b(payload)
+    broken = tmp_path / "checkpoint.final"
+    broken.write_text(json.dumps(payload))
+    if command == "eval":
+        argv = ["eval", str(broken), "--data", str(V1_FIXTURE / "prices.csv")]
+    else:
+        argv = ["train", "--data", str(V1_FIXTURE / "prices.csv"),
+                "--config", str(V1_FIXTURE / "small.config"), "--seed", "4",
+                "--iterations", "4", "--resume", str(broken)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:")
+    assert "params.dense_b" in err
+
+
+@pytest.mark.parametrize("word", ["false", "off", "No", "0"])
+def test_checkpoint_boolean_words_read_as_in_config_files(workspace, tmp_path, capsys, word):
+    payload = json.loads((workspace["run"] / "checkpoint.final").read_text())
+    payload["config"]["corruption"] = word
+    checkpoint = tmp_path / "checkpoint.final"
+    checkpoint.write_text(json.dumps(payload))
+    out = tmp_path / "eval"
+    assert main(["eval", str(checkpoint), "--data", str(workspace["prices"]),
+                 "--out", str(out)]) == 0
+    assert read_config_lines(out / "run.config")["corruption"] == "false"
+    # the run it continues had corruption off; the default is on
+    assert main(["train", "--data", str(workspace["prices"]), "--config", str(workspace["config"]),
+                 "--iterations", "6", "--resume", str(checkpoint),
+                 "--out", str(tmp_path / "resumed")]) == 3
+    assert "differs on: corruption" in capsys.readouterr().err
+
+
+def test_resume_from_best_keeps_that_best(workspace, tmp_path, capsys):
+    # at this rate the best validation MSE is at iteration 1 and is never beaten
+    config = tmp_path / "fast.config"
+    config.write_text(SMALL_ARCH + "learning_rate=0.3\n")
+    base = ["train", "--data", str(workspace["prices"]), "--config", str(config)]
+    part, resumed, full = tmp_path / "part", tmp_path / "resumed", tmp_path / "full"
+    assert main(base + ["--iterations", "10", "--out", str(part)]) == 0
+    assert main(base + ["--iterations", "20", "--out", str(full)]) == 0
+    assert main(base + ["--iterations", "20", "--out", str(resumed),
+                        "--resume", str(part / "checkpoint.best")]) == 0
+    best = json.loads((resumed / "checkpoint.best").read_text())
+    assert best["iteration"] == best["best"]["iteration"] == 1
+    # resuming from any checkpoint continues the one trajectory
+    for name in ("checkpoint.best", "checkpoint.final"):
+        assert (resumed / name).read_bytes() == (full / name).read_bytes(), name
+    out = tmp_path / "eval"
+    assert main(["eval", str(resumed / "checkpoint.best"), "--data", str(workspace["prices"]),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = read_config_lines(out / "report.txt")
+    assert float(report["ensemble_mse"]) == best["best"]["validation_mse"]
+
+
+def test_resume_from_checkpoint_without_its_best_exits_2(workspace, tmp_path, capsys):
+    config = tmp_path / "fast.config"
+    config.write_text(SMALL_ARCH + "learning_rate=0.3\n")
+    base = ["train", "--data", str(workspace["prices"]), "--config", str(config)]
+    assert main(base + ["--iterations", "3", "--out", str(tmp_path / "part")]) == 0
+    payload = json.loads((tmp_path / "part" / "checkpoint.final").read_text())
+    assert payload["best"]["iteration"] == 1 and payload["iteration"] == 3
+    del payload["best_state"]
+    broken = tmp_path / "checkpoint.final"
+    broken.write_text(json.dumps(payload))
+    assert main(base + ["--iterations", "6", "--resume", str(broken),
+                        "--out", str(tmp_path / "out")]) == 2
+    assert "best_state" in capsys.readouterr().err
+
+
+def test_every_written_file_is_moved_into_place(workspace, tmp_path, capsys, monkeypatch):
+    moved = []
+    real_replace = os.replace
+
+    def record(src, dst):
+        moved.append(Path(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", record)
+    prices = str(workspace["prices"])
+    config = str(workspace["config"])
+    for argv in (
+        ["synth", "--assets", "5", "--days", "60", "--sparse", "2", "--out", str(tmp_path / "synth")],
+        ["ingest", "--data", prices, "--out", str(tmp_path / "ingest")],
+        ["train", "--data", prices, "--config", config, "--out", str(tmp_path / "train")],
+        ["eval", str(tmp_path / "train" / "checkpoint.best"), "--data", prices,
+         "--out", str(tmp_path / "eval")],
+        ["plot", "--data", str(tmp_path / "eval" / "series.csv"), "--out", str(tmp_path / "plot")],
+        ["compare", "--data", prices, "--config", config, "--iterations", "2",
+         "--out", str(tmp_path / "compare")],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    on_disk = {p for p in tmp_path.rglob("*") if p.is_file()}
+    assert set(moved) == on_disk
+    assert not [p for p in on_disk if p.suffix == ".tmp"]
+
+
 def test_numerical_errors_exit_3_after_config_written(workspace, tmp_path, capsys):
     config = tmp_path / "blowup.config"
     config.write_text(SMALL_ARCH + "optimizer=sgd\nlearning_rate=inf\n")
@@ -448,8 +584,92 @@ def test_parse_config_file_details(tmp_path):
     config.write_text("banana=1\n")
     with pytest.raises(UsageError, match=r"c:1: unknown configuration key"):
         parse_config_file(config)
+    config.write_text("iterations=7\ncorruption=maybe\n")
+    with pytest.raises(UsageError, match=r"c:2: bad value for configuration key corruption"):
+        parse_config_file(config)
     with pytest.raises(UsageError, match="no such config"):
         parse_config_file(tmp_path / "ghost")
+
+
+def test_flat_key_parse_reads_text_and_json_alike():
+    corruption = trainer.FLAT_KEYS["corruption"]
+    for value, expected in [("true", True), ("Yes", True), (" on ", True), ("1", True), (1, True),
+                            (True, True), ("false", False), ("NO", False), ("off", False),
+                            ("0", False), (0, False), (False, False)]:
+        assert corruption.parse(value) is expected, value
+    for value in ("maybe", "", None, 2, 1.0):
+        with pytest.raises(DataError, match="configuration key corruption"):
+            corruption.parse(value)
+    # blank or null leaves a key that is unset by default unset
+    for name in ("learning_rate", "eval_seed"):
+        assert trainer.FLAT_KEYS[name].parse(" ") is None
+        assert trainer.FLAT_KEYS[name].parse(None) is None
+    with pytest.raises(DataError, match="window"):
+        trainer.FLAT_KEYS["window"].parse(None)
+    assert trainer.FLAT_KEYS["window"].parse(" 30 ") == trainer.FLAT_KEYS["window"].parse(30) == 30
+    assert trainer.DATA_KEYS["train_fraction"].parse("0.75") == 0.75
+
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def train_configs(draw):
+    seeds = st.integers(0, 2**64 - 1)
+    seed, noise_dim = draw(seeds), draw(st.integers(1, 12))
+    generator = GeneratorConfig(  # the run seed is the generator's
+        n_assets=draw(st.integers(2, 40)), noise_dim=noise_dim,
+        conv_channels=draw(st.integers(1, 8)), conv_kernel=draw(st.integers(1, noise_dim)),
+        lstm_hidden=draw(st.integers(1, 8)), population=draw(st.integers(1, 8)), seed=seed,
+    )
+    loss = LossConfig(
+        diversity_weight=draw(st.floats(0.0, 1e3, **_FINITE)),
+        p_zero=draw(st.floats(0.0, 1.0)),
+        noise_sigma=draw(st.floats(0.0, 1.0)),
+        corruption_enabled=draw(st.booleans()),
+    )
+    step_min = draw(st.floats(1e-12, 1.0, exclude_min=True))
+    hyper = Hyper(
+        learning_rate=draw(st.floats(1e-9, 10.0)),
+        beta1=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        beta2=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        eps=draw(st.floats(1e-300, 1.0)),
+        weight_decay=draw(st.floats(0.0, 1.0)),
+        rmsprop_alpha=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        rprop_eta_plus=draw(st.floats(1.0, 10.0, exclude_min=True)),
+        rprop_eta_minus=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        rprop_step_min=step_min,
+        rprop_step_max=draw(st.floats(step_min, 1e3, exclude_min=True)),
+        cmaes_sigma0=draw(st.floats(1e-6, 10.0)),
+    )
+    return TrainConfig(
+        generator=generator,
+        loss=loss,
+        optimizer=draw(st.sampled_from(GRADIENT_KINDS)),
+        hyper=hyper,
+        iterations=draw(st.integers(1, 10**6)),
+        window=draw(st.integers(2, 10**4)),
+        seed=seed,
+        eval_seed=draw(st.none() | seeds),
+        eval_every=draw(st.integers(1, 100)),
+        bag_mode=draw(st.sampled_from(BAG_MODES)),
+    )
+
+
+@given(config=train_configs(),
+       train_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       index_column=st.text("ABCXYZ_0123456789", min_size=1, max_size=8))
+def test_config_round_trips_through_run_config_and_json(tmp_path_factory, config,
+                                                        train_fraction, index_column):
+    flat = trainer.config_to_flat(config)
+    path = tmp_path_factory.mktemp("config") / "run.config"
+    trainer.write_config({**flat, "train_fraction": train_fraction,
+                          "index_column": index_column}, path)
+    parsed = parse_config_file(path)
+    assert (parsed.pop("train_fraction"), parsed.pop("index_column")) == (train_fraction,
+                                                                          index_column)
+    assert trainer.config_from_flat(parsed) == config
+    assert trainer.config_from_flat(json.loads(json.dumps(flat))) == config
 
 
 def test_defaults_cover_every_config_key():

@@ -113,6 +113,24 @@ def test_step_does_not_mutate_inputs():
     assert out is not theta and new_state is not state
 
 
+@pytest.mark.parametrize("kind", GRADIENT_KINDS)
+def test_step_returns_fresh_arrays_and_keeps_the_old_state(kind):
+    # a kept state (a run's best) must survive the steps taken after it
+    rng = np.random.default_rng(5)
+    theta = rng.standard_normal(4)
+    state = init_state(kind, 4, HYPER)
+    for _ in range(3):
+        count, before = state.step, {k: np.array(v, copy=True) for k, v in state.arrays.items()}
+        theta, new_state = step(kind, theta, rng.standard_normal(4), state, HYPER)
+        assert new_state.arrays.keys() == state.arrays.keys()
+        assert (state.step, new_state.step) == (count, count + 1)
+        for name, arr in new_state.arrays.items():
+            assert not any(np.shares_memory(arr, old) for old in state.arrays.values()), name
+        for name, arr in before.items():
+            np.testing.assert_array_equal(state.arrays[name], arr)
+        state = new_state
+
+
 def test_rprop_sign_flip_shrinks_and_holds():
     theta = np.array([1.0, -0.5])
     state = init_state(OptimizerKind.RPROP, 2, HYPER)

@@ -2,6 +2,7 @@
 import base64
 import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -250,7 +251,7 @@ def test_save_checkpoint_leaves_the_old_file_when_the_move_fails(tmp_path, monke
     def refuse(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr(trainer.os, "replace", refuse)
+    monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint({"format_version": CHECKPOINT_VERSION, "step": 2}, path)
     assert path.read_bytes() == before
