@@ -4,7 +4,8 @@ Configuration resolves in three layers (defaults, then a flat key=value
 config file, then command-line flags) and the fully resolved result is
 written to the output directory before any computation starts.  Exit
 codes: 0 success, 1 usage error, 2 data error, 3 numerical failure; every
-failure prints one `error: <category>: <reason>` line on stderr.
+such failure prints one `error: <category>: <reason>` line on stderr.  Any
+other exception is a bug and ends in a traceback.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diffcore as dc
 from . import ensemble as ens
 from . import trainer
 from .marketdata import (
@@ -29,7 +29,7 @@ from .marketdata import (
     write_prices,
     write_text,
 )
-from .optim import BASELINE_HYPER, GENERATOR_HYPER, GRADIENT_KINDS, Hyper, OptimError, OptimizerKind
+from .optim import BASELINE_HYPER, GENERATOR_HYPER, GRADIENT_KINDS, Hyper, OptimizerKind
 from .trainer import TrainConfig, TrainError, config_to_flat, format_value
 
 __all__ = ["main", "UsageError", "DEFAULTS", "parse_config_file", "render_svg"]
@@ -150,6 +150,9 @@ def _resolve(args) -> dict:
         key = attr.rstrip("_")
         if key in _KEYS and value is not None:
             resolved[key] = value
+    for key in ("seed", "eval_seed"):
+        if resolved[key] is not None and resolved[key] < 0:
+            raise UsageError(f"{key} must be non-negative, got {resolved[key]}")
     return resolved
 
 
@@ -177,7 +180,7 @@ def _build_train_config(resolved: dict, n_assets: int) -> TrainConfig:
     }
     try:
         return trainer.config_from_flat(flat)
-    except ValueError as e:
+    except DataError as e:
         raise UsageError(str(e)) from None
 
 
@@ -269,6 +272,7 @@ def _cmd_eval(args) -> int:
         "validation_rows": validation.n_rows,
         "checkpoint_kind": kind,
         "iteration": payload["iteration"],
+        "eval_seed": resolved["eval_seed"],  # unset: the checkpoint's stored noise
     }, out / REPORT_TXT)
     members = [f"sub_{i:04d}" for i in range(report.sub_returns.shape[0])]
     trainer.write_rows(out / SERIES_CSV, ["date", "index", "ensemble", *members], (
@@ -399,16 +403,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             raise UsageError("a command is required (ingest, synth, train, eval, compare, plot)")
         return _COMMANDS[args.command](args)
+    except UsageError as e:
+        print(f"error: usage: {e}", file=sys.stderr)
+        return 1
     except DataError as e:
         print(f"error: data: {e}", file=sys.stderr)
         return 2
-    except (TrainError, OptimError, dc.NonFiniteError, dc.GraphError,
-            dc.GradCheckError, ArithmeticError) as e:
+    except (TrainError, ArithmeticError) as e:
         print(f"error: numerical: {e}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError) as e:
-        print(f"error: usage: {e}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

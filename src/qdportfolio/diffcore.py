@@ -244,7 +244,8 @@ def sigmoid(a) -> Node:
     a = as_node(a)
     # Split by sign for stability: exp only ever sees non-positive arguments.
     x = a.value
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return Node(y, (a,), "sigmoid", lambda g: (g * y * (1.0 - y),))
 
 

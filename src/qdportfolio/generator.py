@@ -65,14 +65,7 @@ class GeneratorConfig:
 
     @property
     def parameter_count(self) -> int:
-        c, k, h, n, f = (
-            self.conv_channels,
-            self.conv_kernel,
-            self.lstm_hidden,
-            self.n_assets,
-            self.features,
-        )
-        return c * k + c + 4 * h * f + 4 * h * h + 4 * h + n * h + n
+        return sum(int(np.prod(shape)) for shape in param_shapes(self).values())
 
 
 def param_shapes(config: GeneratorConfig) -> dict[str, tuple[int, ...]]:

@@ -82,7 +82,7 @@ FAILURES_CSV = "failures.csv"
 
 
 class TrainError(RuntimeError):
-    """Training could not proceed (non-finite loss, bad resume, ...)."""
+    """A numerical failure inside a run: a non-finite value or a refused step."""
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,10 @@ class TrainConfig:
             raise ValueError(f"unknown bag mode {self.bag_mode!r}")
         if OptimizerKind(self.optimizer) is OptimizerKind.CMAES:
             raise ValueError("the generator is trained with a gradient rule, not cmaes")
+        for name in ("seed", "eval_seed"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -300,6 +304,8 @@ def _unpack_as(blob: dict | list, name: str, shape: tuple[int, ...]) -> np.ndarr
         raise DataError(
             f"stored array {name} has shape {list(arr.shape)}, its configuration gives {list(shape)}"
         )
+    if not np.isfinite(arr).all():
+        raise DataError(f"stored array {name} holds non-finite values")
     return arr
 
 
@@ -411,10 +417,12 @@ class _Snapshot:
         return payload
 
     @classmethod
-    def decode(cls, payload: dict) -> "_Snapshot":
-        """Read a checkpoint document of any readable version, checked against its config."""
+    def decode(cls, payload: dict, config: TrainConfig) -> "_Snapshot":
+        """Read a checkpoint document of any readable version.
+
+        Every array is checked against `config`, the configuration already parsed from it.
+        """
         try:
-            config = config_from_flat(payload["config"])
             sizes = config.generator
             rows = (sizes.population, sizes.lstm_hidden)
             kind = OptimizerKind(config.optimizer)
@@ -459,13 +467,6 @@ class _Snapshot:
             raise DataError(f"malformed checkpoint: {e}") from None
 
 
-def params_from_payload(payload: dict) -> tuple[TrainConfig, gen.GeneratorParams, gen.GeneratorState]:
-    """Rebuild the configuration, parameters and recurrent state."""
-    config = config_from_flat(payload["config"])
-    snapshot = _Snapshot.decode(payload)
-    return config, gen.GeneratorParams.from_flat(config.generator, snapshot.theta), snapshot.state
-
-
 def checkpoint_population(payload: dict, eval_seed: int | None) -> tuple[TrainConfig, gen.Population]:
     """A checkpoint's configuration and the population it scores.
 
@@ -479,7 +480,7 @@ def checkpoint_population(payload: dict, eval_seed: int | None) -> tuple[TrainCo
     if kind == "baseline":
         logits = _unpack_as(payload["logits"], "logits", (config.generator.n_assets,))
         return config, logits_population(logits)
-    snapshot = _Snapshot.decode(payload)
+    snapshot = _Snapshot.decode(payload, config)
     noise = snapshot.eval_noise
     if eval_seed is not None:
         noise = gen.sample_noise(config.generator, np.random.default_rng(eval_seed))
@@ -490,20 +491,20 @@ def checkpoint_population(payload: dict, eval_seed: int | None) -> tuple[TrainCo
 def _resume_from(config: TrainConfig, resume: dict) -> tuple[_Snapshot, _Snapshot]:
     """The checkpoint's snapshot and its best, once it is known to continue `config`."""
     if resume.get("kind") != "generator":
-        raise TrainError("checkpoint does not describe a generator run")
-    saved = config_to_flat(config_from_flat(resume["config"]))
-    current = config_to_flat(config)
-    mismatched = [k for k in current if k != "iterations" and current[k] != saved[k]]
+        raise DataError("checkpoint does not describe a generator run")
+    saved = config_from_flat(resume["config"])
+    current, stored = config_to_flat(config), config_to_flat(saved)
+    mismatched = [k for k in current if k != "iterations" and current[k] != stored[k]]
     if mismatched:
-        raise TrainError(f"checkpoint configuration differs on: {', '.join(sorted(mismatched))}")
-    start = _Snapshot.decode(resume)
+        raise DataError(f"checkpoint configuration differs on: {', '.join(sorted(mismatched))}")
+    start = _Snapshot.decode(resume, saved)
     if start.iteration >= config.iterations:
-        raise TrainError(
+        raise DataError(
             f"checkpoint is at iteration {start.iteration}, "
             f"nothing to do before {config.iterations}"
         )
     if "best_state" in resume:
-        return start, _Snapshot.decode(resume["best_state"])
+        return start, _Snapshot.decode(resume["best_state"], saved)
     if start.best_iteration == start.iteration:  # a checkpoint.best is its own best
         return start, start
     raise DataError(f"checkpoint lacks best_state for its best iteration {start.best_iteration}")
@@ -527,7 +528,7 @@ def train_generator(
     scored on the validation panel.
     """
     if data.train.n_assets != config.generator.n_assets:
-        raise TrainError(
+        raise DataError(
             f"config expects {config.generator.n_assets} assets, data has {data.train.n_assets}"
         )
     if config.window > data.train.n_rows:
@@ -555,45 +556,40 @@ def train_generator(
 
     for i in range(start.iteration + 1, config.iterations + 1):
         t0 = time.monotonic()
-        params = gen.GeneratorParams.from_flat(config.generator, theta)
-        window = sample_window(data.train, config.window, rngs["windows"])
-        noise = gen.sample_noise(config.generator, rngs["noise"])
         try:
+            params = gen.GeneratorParams.from_flat(config.generator, theta)
+            window = sample_window(data.train, config.window, rngs["windows"])
+            noise = gen.sample_noise(config.generator, rngs["noise"])
             result = obj.total_loss(
                 params, state, noise, window, config.loss, rngs["corruption"]
             )
-        except dc.NonFiniteError as e:
-            raise TrainError(f"non-finite loss at iteration {i}: {e}") from e
-        if not np.isfinite(result.report.total):
-            raise TrainError(f"non-finite loss at iteration {i}")
-        dc.backward(result.loss)
-        grads = np.concatenate([
-            np.ravel(
-                result.param_nodes[name].grad
-                if result.param_nodes[name].grad is not None
-                else np.zeros_like(getattr(params, name))
-            )
-            for name in gen.PARAM_ORDER
-        ])
-        try:
+            dc.backward(result.loss)
+            grads = np.concatenate([
+                np.ravel(
+                    result.param_nodes[name].grad
+                    if result.param_nodes[name].grad is not None
+                    else np.zeros_like(getattr(params, name))
+                )
+                for name in gen.PARAM_ORDER
+            ])
             theta, opt_state = step(kind, theta, grads, opt_state, config.hyper)
-        except OptimError as e:
-            raise TrainError(f"optimizer failure at iteration {i}: {e}") from e
-        state = result.new_state
-        losses.append(result.report)
+            state = result.new_state
+            losses.append(result.report)
 
-        if i % config.eval_every == 0 or i == config.iterations:
-            eval_fwd = gen.forward(
-                gen.GeneratorParams.from_flat(config.generator, theta), state,
-                start.eval_noise, mode="eval",
-            )
-            report = ens.evaluate_population(
-                eval_fwd.population, data.validation, bag_mode=config.bag_mode
-            )
-            evals.append(EvalRecord(iteration=i, report=report))
-            if report.ensemble_mse < best_mse:
-                best_iteration, best_mse = i, report.ensemble_mse
-                best = snapshot(i)
+            if i % config.eval_every == 0 or i == config.iterations:
+                eval_fwd = gen.forward(
+                    gen.GeneratorParams.from_flat(config.generator, theta), state,
+                    start.eval_noise, mode="eval",
+                )
+                report = ens.evaluate_population(
+                    eval_fwd.population, data.validation, bag_mode=config.bag_mode
+                )
+                evals.append(EvalRecord(iteration=i, report=report))
+                if report.ensemble_mse < best_mse:
+                    best_iteration, best_mse = i, report.ensemble_mse
+                    best = snapshot(i)
+        except (dc.NonFiniteError, OptimError) as e:
+            raise TrainError(f"iteration {i}: {e}") from e
         wall_clock.append(time.monotonic() - t0)
 
     best_checkpoint = best.encode(config) if best is not None else None
@@ -714,17 +710,17 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
         opt_state = init_state(kind, n, config.hyper)
         for i in range(1, config.iterations + 1):
             t0 = time.monotonic()
-            leaf = dc.Node(logits.copy(), op="logits")
-            weights = dc.softmax(dc.reshape(leaf, (1, n)))
-            series = obj.portfolio_returns(weights, window)
-            loss = obj.tracking_loss(series, window.index_returns)
-            dc.backward(loss)
-            grads = leaf.grad if leaf.grad is not None else np.zeros(n)
             try:
+                leaf = dc.Node(logits.copy(), op="logits")
+                weights = dc.softmax(dc.reshape(leaf, (1, n)))
+                series = obj.portfolio_returns(weights, window)
+                loss = obj.tracking_loss(series, window.index_returns)
+                dc.backward(loss)
+                grads = leaf.grad if leaf.grad is not None else np.zeros(n)
                 logits, opt_state = step(kind, logits, grads, opt_state, config.hyper)
-            except OptimError as e:
-                raise TrainError(f"optimizer failure at iteration {i}: {e}") from e
-            record(i, logits, float(loss.value))
+                record(i, logits, float(loss.value))
+            except (dc.NonFiniteError, OptimError) as e:
+                raise TrainError(f"iteration {i}: {e}") from e
             wall_clock.append(time.monotonic() - t0)
         evaluations_used = config.iterations
 

@@ -180,6 +180,19 @@ def test_eval_with_fresh_noise(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_report_names_the_noise_it_used(workspace, tmp_path, capsys):
+    checkpoint = str(workspace["run"] / "checkpoint.best")
+    base = ["eval", checkpoint, "--data", str(workspace["prices"])]
+    assert main(base + ["--out", str(tmp_path / "fresh"), "--eval-seed", "7"]) == 0
+    assert main(base + ["--out", str(tmp_path / "stored")]) == 0
+    capsys.readouterr()
+    assert read_config_lines(tmp_path / "fresh" / "report.txt")["eval_seed"] == "7"
+    assert read_config_lines(tmp_path / "stored" / "report.txt")["eval_seed"] == ""
+    # run.config keeps the checkpoint's own seed, so it still replays the training run
+    for name in ("fresh", "stored"):
+        assert read_config_lines(tmp_path / name / "run.config")["eval_seed"] == ""
+
+
 def test_plot_from_series(workspace, tmp_path, capsys):
     eval_dir = tmp_path / "eval"
     assert main(["eval", str(workspace["run"] / "checkpoint.best"),
@@ -397,6 +410,10 @@ _CHECKPOINT_FAULTS = {
         lambda payload: payload.update(eval_noise=trainer.pack_array(np.zeros((4, 5)))),
         "eval_noise",
     ),
+    "nan_param": (
+        lambda payload: payload["params"].update(dense_b=trainer.pack_array(np.full(5, np.nan))),
+        "params.dense_b holds non-finite values",
+    ),
 }
 
 
@@ -437,8 +454,8 @@ def test_resume_from_v1_checkpoint_matches_its_v2_encoding(tmp_path, capsys):
     v1 = trainer.load_checkpoint(V1_FIXTURE / "generator.checkpoint")
     assert v1["format_version"] == 1
     config = trainer.config_from_flat(v1["config"])
-    best = trainer._Snapshot.decode(v1["best_state"]).encode(config)
-    v2 = trainer._Snapshot.decode(v1).encode(config, best)
+    best = trainer._Snapshot.decode(v1["best_state"], config).encode(config)
+    v2 = trainer._Snapshot.decode(v1, config).encode(config, best)
     assert v2["format_version"] == 2
     trainer.save_checkpoint(v2, tmp_path / "v2.checkpoint")
     base = ["train", "--data", str(V1_FIXTURE / "prices.csv"),
@@ -488,7 +505,7 @@ def test_checkpoint_boolean_words_read_as_in_config_files(workspace, tmp_path, c
     # the run it continues had corruption off; the default is on
     assert main(["train", "--data", str(workspace["prices"]), "--config", str(workspace["config"]),
                  "--iterations", "6", "--resume", str(checkpoint),
-                 "--out", str(tmp_path / "resumed")]) == 3
+                 "--out", str(tmp_path / "resumed")]) == 2
     assert "differs on: corruption" in capsys.readouterr().err
 
 
@@ -568,6 +585,142 @@ def test_numerical_errors_exit_3_after_config_written(workspace, tmp_path, capsy
     # the configuration is on disk even though training failed
     assert (out / "run.config").exists()
     assert not (out / "loss.csv").exists()
+
+
+def _train(ws, tmp, *extra):
+    return ["train", "--data", str(ws["prices"]), "--config", str(ws["config"]),
+            "--out", str(tmp / "out"), *extra]
+
+
+def _config_file(tmp, text):
+    path = tmp / "extra.config"
+    path.write_text(SMALL_ARCH + text)
+    return str(path)
+
+
+def _bad_price_cell(tmp):
+    path = tmp / "bad.csv"
+    path.write_text("date,INDEX,A\n2020-01-01,1.0,1.0\n2020-01-02,1.0,abc\n2020-01-03,1.0,1.0\n")
+    return str(path)
+
+
+def _rprop_checkpoint(ws, tmp):
+    assert main(["compare", "--data", str(ws["prices"]), "--config", str(ws["config"]),
+                 "--iterations", "2", "--out", str(tmp / "cmp")]) == 0
+    return str(tmp / "cmp" / "runs" / "rprop" / "checkpoint.final")
+
+
+def _other_assets(tmp):
+    assert main(["synth", "--out", str(tmp / "six"), "--assets", "6", "--days", "60",
+                 "--sparse", "2", "--seed", "3"]) == 0
+    return str(tmp / "six" / "prices.csv")
+
+
+def _overflowing_checkpoint(ws, tmp):
+    """Finite stored parameters whose convolution overflows to inf."""
+    payload = json.loads((ws["run"] / "checkpoint.best").read_text())
+    for name in ("conv_w", "conv_b"):
+        shape = payload["params"][name]["shape"]
+        payload["params"][name] = trainer.pack_array(np.full(shape, 1.7e308))
+    path = tmp / "checkpoint.best"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _nan_baseline_logits(tmp):
+    payload = json.loads((V1_FIXTURE / "baseline.checkpoint").read_text())
+    payload["logits"] = [float("nan")] * len(payload["logits"])
+    path = tmp / "baseline.checkpoint"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+# Each documented failure: its argv, its exit code, its category and a phrase of its reason.
+_DOCUMENTED_FAILURES = {
+    "no_command": (lambda ws, tmp: [], 1, "usage", "a command is required"),
+    "missing_data": (lambda ws, tmp: ["train", "--out", str(tmp / "out")], 1, "usage", "--data"),
+    "unknown_key": (
+        lambda ws, tmp: _train(ws, tmp, "--config", _config_file(tmp, "not_a_key=5\n")),
+        1, "usage", "unknown configuration key: not_a_key",
+    ),
+    "bad_bool": (
+        lambda ws, tmp: _train(ws, tmp, "--config", _config_file(tmp, "corruption=maybe\n")),
+        1, "usage", "corruption",
+    ),
+    "window_1": (lambda ws, tmp: _train(ws, tmp, "--window", "1"), 1, "usage", "window"),
+    "cmaes_generator": (
+        lambda ws, tmp: _train(ws, tmp, "--optimizer", "cmaes"), 1, "usage", "not cmaes",
+    ),
+    "train_seed": (lambda ws, tmp: _train(ws, tmp, "--seed", "-1"), 1, "usage", "seed"),
+    "synth_seed": (
+        lambda ws, tmp: ["synth", "--out", str(tmp / "out"), "--seed", "-1"], 1, "usage", "seed",
+    ),
+    "eval_seed": (
+        lambda ws, tmp: ["eval", str(ws["run"] / "checkpoint.best"), "--data", str(ws["prices"]),
+                         "--out", str(tmp / "out"), "--eval-seed", "-1"],
+        1, "usage", "eval_seed",
+    ),
+    "config_seed": (
+        lambda ws, tmp: _train(ws, tmp, "--config", _config_file(tmp, "seed=-1\n")),
+        1, "usage", "seed",
+    ),
+    "missing_csv": (
+        lambda ws, tmp: ["train", "--data", str(tmp / "absent.csv"), "--out", str(tmp / "out")],
+        2, "data", "no such file",
+    ),
+    "bad_price_cell": (
+        lambda ws, tmp: ["ingest", "--data", _bad_price_cell(tmp), "--index-column", "INDEX",
+                         "--out", str(tmp / "out")],
+        2, "data", "column A: invalid number",
+    ),
+    "resume_changed_lambda": (
+        lambda ws, tmp: _train(ws, tmp, "--iterations", "6", "--lambda", "0.5",
+                               "--resume", str(ws["run"] / "checkpoint.final")),
+        2, "data", "differs on: lambda",
+    ),
+    "resume_from_baseline": (
+        lambda ws, tmp: _train(ws, tmp, "--iterations", "6", "--resume", _rprop_checkpoint(ws, tmp)),
+        2, "data", "does not describe a generator run",
+    ),
+    "resume_at_target": (
+        lambda ws, tmp: _train(ws, tmp, "--resume", str(ws["run"] / "checkpoint.final")),
+        2, "data", "nothing to do before 4",
+    ),
+    "eval_other_assets": (
+        lambda ws, tmp: ["eval", str(ws["run"] / "checkpoint.best"), "--data", _other_assets(tmp),
+                         "--out", str(tmp / "out")],
+        2, "data", "checkpoint expects 5 assets, data has 6",
+    ),
+    "eval_nan_logits": (
+        lambda ws, tmp: ["eval", _nan_baseline_logits(tmp), "--data", str(V1_FIXTURE / "prices.csv"),
+                         "--out", str(tmp / "out")],
+        2, "data", "logits holds non-finite values",
+    ),
+    "infinite_rate": (
+        lambda ws, tmp: _train(ws, tmp, "--config",
+                               _config_file(tmp, "optimizer=sgd\nlearning_rate=inf\n")),
+        3, "numerical", "iteration 1",
+    ),
+    "eval_overflow": (
+        lambda ws, tmp: ["eval", _overflowing_checkpoint(ws, tmp), "--data", str(ws["prices"]),
+                         "--out", str(tmp / "out")],
+        3, "numerical", "non-finite value produced by primitive",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_DOCUMENTED_FAILURES))
+def test_documented_failures_map_to_their_exit_codes(workspace, tmp_path, capsys, case):
+    build, code, category, reason = _DOCUMENTED_FAILURES[case]
+    argv = build(workspace, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {category}:")
+    assert err.count("\n") == 1
+    assert reason in err
+    if category == "usage":  # refused before anything is written
+        assert not (tmp_path / "out").exists()
 
 
 # ----------------------------------------------------------------------

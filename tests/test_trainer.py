@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from qdportfolio import diffcore as dc
 from qdportfolio import trainer
 from qdportfolio.generator import GeneratorConfig
 from qdportfolio.marketdata import DataError, synth_dataset, time_split
@@ -21,12 +22,12 @@ from qdportfolio.trainer import (
     ComparisonRow,
     TrainConfig,
     TrainError,
+    checkpoint_population,
     compare_optimizers,
     config_from_flat,
     config_to_flat,
     format_value,
     load_checkpoint,
-    params_from_payload,
     save_checkpoint,
     save_comparison,
     pack_array,
@@ -68,6 +69,10 @@ def test_train_config_validation():
         make_config(bag_mode="mean")
     with pytest.raises(ValueError):
         make_config(optimizer=OptimizerKind.CMAES)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        make_config(seed=-1)
+    with pytest.raises(ValueError, match="eval_seed must be non-negative, got -1"):
+        make_config(eval_seed=-1)
 
 
 def test_config_flat_round_trip():
@@ -170,13 +175,13 @@ def test_resume_carries_a_best_it_never_beats():
 def test_resume_rejects_mismatched_config():
     data = make_data()
     first = train_generator(make_config(iterations=4), data)
-    with pytest.raises(TrainError, match="differs on"):
+    with pytest.raises(DataError, match="differs on"):
         train_generator(make_config(iterations=8, seed=9), data,
                         resume=first.final_checkpoint)
-    with pytest.raises(TrainError, match="nothing to do"):
+    with pytest.raises(DataError, match="nothing to do"):
         train_generator(make_config(iterations=4), data,
                         resume=first.final_checkpoint)
-    with pytest.raises(TrainError, match="does not describe a generator"):
+    with pytest.raises(DataError, match="does not describe a generator"):
         baseline = train_baseline(OptimizerKind.SGD, make_config(), data)
         train_generator(make_config(iterations=8), data,
                         resume=baseline.final_checkpoint)
@@ -184,7 +189,7 @@ def test_resume_rejects_mismatched_config():
 
 def test_train_generator_input_validation():
     data = make_data()
-    with pytest.raises(TrainError, match="assets"):
+    with pytest.raises(DataError, match="assets"):
         train_generator(
             make_config(generator=GeneratorConfig(
                 n_assets=4, noise_dim=4, conv_channels=2, conv_kernel=2,
@@ -202,6 +207,23 @@ def test_numerical_blowup_becomes_train_error():
         train_generator(config, make_data())
 
 
+def test_non_finite_validation_names_its_iteration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise dc.NonFiniteError("sparsemax")
+
+    monkeypatch.setattr(trainer.ens, "evaluate_population", refuse)
+    with pytest.raises(TrainError, match="iteration 1: non-finite value produced by primitive"):
+        train_generator(make_config(), make_data())
+    with pytest.raises(TrainError, match="iteration 1: non-finite value produced by primitive"):
+        train_baseline(OptimizerKind.SGD, make_config(), make_data())
+
+
+def test_baseline_blowup_names_its_iteration():
+    config = make_config(optimizer=OptimizerKind.SGD, hyper=Hyper(learning_rate=float("inf")))
+    with pytest.raises(TrainError, match="iteration 1: update produced non-finite parameters"):
+        train_baseline(OptimizerKind.SGD, config, make_data())
+
+
 def test_checkpoint_file_round_trip(tmp_path):
     data = make_data()
     run = train_generator(make_config(), data)
@@ -209,11 +231,11 @@ def test_checkpoint_file_round_trip(tmp_path):
     save_checkpoint(run.final_checkpoint, path)
     loaded = load_checkpoint(path)
     assert canon(loaded) == canon(run.final_checkpoint)
-    config, params, state = params_from_payload(loaded)
+    config, population = checkpoint_population(loaded, None)
     assert config == config_from_flat(config_to_flat(make_config()))
-    assert state.iteration == 6
-    expected = params_from_payload(run.final_checkpoint)[1]
-    np.testing.assert_array_equal(params.flatten(), expected.flatten())
+    assert loaded["state"]["iteration"] == 6
+    expected = checkpoint_population(run.final_checkpoint, None)[1]
+    np.testing.assert_array_equal(population.weights, expected.weights)
 
 
 def test_load_checkpoint_errors(tmp_path):
@@ -240,7 +262,7 @@ def test_load_checkpoint_rejects_incomplete_documents(tmp_path):
         load_checkpoint(path)
     del payload["best_state"]["state"]["h"]
     with pytest.raises(DataError, match="lacks field 'h'"):
-        params_from_payload(payload["best_state"])
+        checkpoint_population(payload["best_state"], None)
 
 
 def test_save_checkpoint_leaves_the_old_file_when_the_move_fails(tmp_path, monkeypatch):
