@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import MISSING, replace
 from pathlib import Path
@@ -153,6 +154,8 @@ def _resolve(args) -> dict:
     for key in ("seed", "eval_seed"):
         if resolved[key] is not None and resolved[key] < 0:
             raise UsageError(f"{key} must be non-negative, got {resolved[key]}")
+    if not 0 < resolved["train_fraction"] < 1:
+        raise UsageError(f"train_fraction must lie in (0, 1), got {resolved['train_fraction']}")
     return resolved
 
 
@@ -209,6 +212,12 @@ def _cmd_synth(args) -> int:
     resolved = _resolve(args)
     if args.assets < 2:
         raise UsageError("--assets must be at least 2")
+    if args.days < 2:
+        raise UsageError("--days must be at least 2")
+    if not 1 <= args.sparse <= args.assets:
+        raise UsageError(f"--sparse must lie in [1, {args.assets}], got {args.sparse}")
+    if not 0 <= args.noise_scale < math.inf:
+        raise UsageError(f"--noise-scale must be finite and non-negative, got {args.noise_scale}")
     panel, true_weights = synth_dataset(
         n_assets=args.assets,
         n_days=args.days,

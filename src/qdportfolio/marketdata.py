@@ -12,8 +12,10 @@ import csv
 import io
 import math
 import os
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -136,11 +138,15 @@ class WindowSample:
     index_returns: np.ndarray  # (W,)
 
 
+# Converts the value cells of price lines, splitting and unquoting as csv.reader does.
+_read_cells = partial(np.loadtxt, delimiter=",", comments=None, quotechar='"', ndmin=2)
+
+
 def load_prices(path: str | Path, index_column: str) -> PriceTable:
     """Read a wide price CSV and extract the tracked index column.
 
-    Errors name the offending data row (1-based, excluding the header)
-    and column wherever possible.
+    Errors name the first faulty data row (1-based, excluding the header,
+    counting blank lines) and column wherever possible.
     """
     path = Path(path)
     if not path.exists():
@@ -161,46 +167,69 @@ def load_prices(path: str | Path, index_column: str) -> PriceTable:
             raise DataError("duplicate column names in header")
         if index_column not in columns:
             raise DataError(f"unknown index column {index_column!r}")
+        lines = fh.readlines()  # split where csv.reader splits: \n, \r\n and \r
 
-        rows: list[tuple[Date, list[float]]] = []
-        for r, fields in enumerate(reader, start=1):
-            if not fields:
-                continue
-            if len(fields) != len(header):
-                raise DataError(f"malformed row {r}: expected {len(header)} fields, got {len(fields)}")
+    rows, dates, fault = [], [], None  # good rows' numbers and dates; the first bad line's message
+    for r, line in enumerate(lines, start=1):
+        if line in ("\n", "\r\n", "\r"):
+            continue
+        fields = next(csv.reader([line])) if '"' in line else None
+        count, first = (len(fields), fields[0]) if fields else (line.count(",") + 1, line.partition(",")[0])
+        if fields and fields[-1].endswith(("\n", "\r")):  # csv keeps a line break only in an open quote
+            fault = f"malformed row {r}: a quoted field runs past the end of the line"
+        elif count != len(header):
+            fault = f"malformed row {r}: expected {len(header)} fields, got {count}"
+        else:
             try:
-                day = Date.fromisoformat(fields[0].strip())
+                dates.append(Date.fromisoformat(first.strip()))
+                rows.append(r)
+                continue
             except ValueError:
-                raise DataError(f"row {r}, column date: invalid ISO-8601 date {fields[0]!r}") from None
-            values = []
-            for name, raw in zip(columns, fields[1:]):
-                try:
-                    price = float(raw)
-                except ValueError:
-                    raise DataError(f"row {r}, column {name}: invalid number {raw!r}") from None
-                if not math.isfinite(price) or price <= 0:
-                    raise DataError(f"row {r}, column {name}: price must be positive and finite")
-                values.append(price)
-            rows.append((day, values))
-
-    if len(rows) < 2:
-        raise DataError("need at least two data rows")
-    rows.sort(key=lambda item: item[0])
-    for (a, _), (b, _) in zip(rows, rows[1:]):
+                fault = f"row {r}, column date: invalid ISO-8601 date {first!r}"
+        break
+    matrix = None
+    if fault is None and len(rows) >= 2:
+        with suppress(ValueError):  # _first_bad_cell names the cell
+            matrix = _read_cells([lines[r - 1] for r in rows], usecols=range(1, len(header)))
+    if matrix is None or not ((matrix > 0) & (matrix < np.inf)).all():
+        raise DataError(_first_bad_cell(lines, rows, columns) or fault or "need at least two data rows")
+    order = sorted(range(len(rows)), key=dates.__getitem__)
+    dates = [dates[i] for i in order]
+    for a, b in zip(dates, dates[1:]):
         if a == b:
             raise DataError(f"duplicate date {a.isoformat()}")
 
-    dates = tuple(day for day, _ in rows)
-    matrix = np.array([vals for _, vals in rows], dtype=np.float64)
+    matrix = matrix[order]
     idx = columns.index(index_column)
     keep = [j for j in range(len(columns)) if j != idx]
     return PriceTable(
-        dates=dates,
+        dates=tuple(dates),
         tickers=tuple(columns[j] for j in keep),
         prices=matrix[:, keep],
         index_name=index_column,
         index_prices=matrix[:, idx],
     )
+
+
+def _first_bad_cell(lines: list[str], rows: list[int], columns: list[str]) -> str | None:
+    """Name the first cell of `rows`, in row-major order, that is no positive finite price.
+
+    Each line, then each cell of a line that fails, goes through `_read_cells`,
+    so the scan and the table's conversion cannot disagree.  No table is built.
+    """
+    for r in rows:
+        with suppress(ValueError):
+            values = _read_cells([lines[r - 1]], usecols=range(1, len(columns) + 1))
+            if ((values > 0) & (values < np.inf)).all():
+                continue
+        for j, name in enumerate(columns, start=1):
+            try:
+                value = _read_cells([lines[r - 1]], usecols=[j])[0, 0]
+            except ValueError:
+                return f"row {r}, column {name}: invalid number {next(csv.reader([lines[r - 1]]))[j]!r}"
+            if not 0 < value < math.inf:
+                return f"row {r}, column {name}: price must be positive and finite"
+    return None
 
 
 def write_text(path: str | Path, text: str) -> None:

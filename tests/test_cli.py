@@ -664,6 +664,36 @@ _DOCUMENTED_FAILURES = {
         lambda ws, tmp: _train(ws, tmp, "--config", _config_file(tmp, "seed=-1\n")),
         1, "usage", "seed",
     ),
+    "synth_sparse_0": (
+        lambda ws, tmp: ["synth", "--out", str(tmp / "out"), "--sparse", "0"], 1, "usage", "--sparse",
+    ),
+    "synth_sparse_over_assets": (
+        lambda ws, tmp: ["synth", "--out", str(tmp / "out"), "--assets", "20", "--sparse", "30"],
+        1, "usage", "--sparse",
+    ),
+    "synth_days_1": (
+        lambda ws, tmp: ["synth", "--out", str(tmp / "out"), "--days", "1"], 1, "usage", "--days",
+    ),
+    "synth_negative_noise": (
+        lambda ws, tmp: ["synth", "--out", str(tmp / "out"), "--noise-scale", "-1"],
+        1, "usage", "--noise-scale",
+    ),
+    "synth_nan_noise": (
+        lambda ws, tmp: ["synth", "--out", str(tmp / "out"), "--noise-scale", "nan"],
+        1, "usage", "--noise-scale",
+    ),
+    "train_fraction_flag": (
+        lambda ws, tmp: _train(ws, tmp, "--train-fraction", "2"), 1, "usage", "train_fraction",
+    ),
+    "eval_train_fraction": (
+        lambda ws, tmp: ["eval", str(ws["run"] / "checkpoint.best"), "--data", str(ws["prices"]),
+                         "--out", str(tmp / "out"), "--train-fraction", "2"],
+        1, "usage", "train_fraction",
+    ),
+    "config_train_fraction": (
+        lambda ws, tmp: _train(ws, tmp, "--config", _config_file(tmp, "train_fraction=1.5\n")),
+        1, "usage", "train_fraction",
+    ),
     "missing_csv": (
         lambda ws, tmp: ["train", "--data", str(tmp / "absent.csv"), "--out", str(tmp / "out")],
         2, "data", "no such file",

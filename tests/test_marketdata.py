@@ -1,8 +1,12 @@
 """Price ingestion, return math, splits, windows and synthetic data."""
+import csv
 import math
+from datetime import date as Date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdportfolio.marketdata import (
     DataError,
@@ -64,12 +68,179 @@ def test_load_prices_sorts_by_date(tmp_path):
         ("date,INDEX,AAA\n2020-01-02,1,0\n2020-01-03,1,1\n", "row 1, column AAA"),
         ("date,INDEX,AAA\n2020-01-02,1,1\n", "at least two data rows"),
         ("date,INDEX,AAA\n2020-01-02,1,1\n2020-01-02,2,2\n", "duplicate date"),
+        # row numbers count blank lines; a line of blanks is a record of one field
+        ("date,INDEX,AAA\n2020-01-02,1,1\n\n2020-01-03,1,x\n", "row 3, column AAA: invalid number 'x'"),
+        ("date,INDEX,AAA\n2020-01-02,1,1\n \n2020-01-03,1,1\n", "malformed row 2: expected 3 fields, got 1"),
+        # no comment character, empty, quoted and unfinished cells
+        ("date,INDEX,AAA\n2020-01-02,1,1#2\n2020-01-03,1,1\n", "row 1, column AAA: invalid number '1#2'"),
+        ("date,INDEX,AAA\n2020-01-02,1,\n2020-01-03,1,1\n", "row 1, column AAA: invalid number ''"),
+        ('date,INDEX,AAA\n2020-01-02,1,"1,5"\n2020-01-03,1,1\n', "row 1, column AAA: invalid number '1,5'"),
+        ('date,INDEX,AAA\n2020-01-02,1,"1\n2020-01-03,1,1\n', "malformed row 1: a quoted field runs past"),
+        ("date,INDEX,AAA\n2020-01-02,1,nan\n2020-01-03,1,1\n", "row 1, column AAA: price must be positive"),
+        ("date,INDEX,AAA\n2020-01-02,1,inf\n2020-01-03,1,1\n", "row 1, column AAA: price must be positive"),
+        # digit separators and non-ASCII digits are not part of the number grammar
+        ("date,INDEX,AAA\n2020-01-02,1,1_000\n2020-01-03,1,1\n", "row 1, column AAA: invalid number '1_000'"),
+        ("date,INDEX,AAA\n2020-01-02,1,\uff17\n2020-01-03,1,1\n", "row 1, column AAA: invalid number '\uff17'"),
+        # of several faults, the first in row-major order is named
+        ("date,INDEX,AAA\n2020-01-02,-1,x\n2020-01-03,1,1\n", "row 1, column INDEX: price must be positive"),
+        ("date,INDEX,AAA\n2020-01-02,1,x\nnot-a-date,1,1\n", "row 1, column AAA: invalid number"),
+        ("date,INDEX,AAA\n2020-01-02,1,0\n2020-01-03,1\n", "row 1, column AAA: price must be positive"),
+        ("date,INDEX,AAA\n2020-01-02,1,x\n", "row 1, column AAA: invalid number"),
     ],
 )
 def test_load_prices_rejects_bad_input(tmp_path, text, fragment):
     index = "NOPE" if fragment.startswith("unknown") else "INDEX"
     with pytest.raises(DataError, match=fragment):
         load_prices(write_csv(tmp_path, text), index)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        GOOD_CSV.replace("\n", "\r\n"),
+        GOOD_CSV.replace("\n", "\r"),
+        GOOD_CSV.rstrip("\n"),
+        GOOD_CSV.replace("10.0,", '"10.0",').replace("2020-01-03", '"2020-01-03"'),
+        GOOD_CSV.replace("10.1,", " 10.1 ,").replace("19.9", "\t19.9 "),
+        GOOD_CSV.replace("\n2020-01-03", "\n\n\r\n2020-01-03") + "\n",
+        # \x0c and \x85 end a line for str.splitlines, not for csv.reader
+        GOOD_CSV.replace("20.0\n", "20.0\x0c\n").replace("19.8\n", "19.8\x85\n"),
+    ],
+    ids=["crlf", "cr", "no_final_newline", "quoted", "blanks", "blank_lines", "not_line_breaks"],
+)
+def test_load_prices_reads_the_csv_dialect(tmp_path, text):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(text.encode())
+    table = load_prices(path, "INDEX")
+    expected = load_prices(write_csv(tmp_path, GOOD_CSV, "good.csv"), "INDEX")
+    assert table.dates == expected.dates
+    np.testing.assert_array_equal(table.prices, expected.prices)
+    np.testing.assert_array_equal(table.index_prices, expected.index_prices)
+
+
+def _reference_load_prices(path, index_column):
+    """The cell-by-cell csv.reader and float() parser that load_prices replaced."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"empty file: {path}") from None
+        header = [h.strip() for h in header]
+        if not header or header[0] != "date":
+            raise DataError("header must start with a 'date' column")
+        columns = header[1:]
+        if index_column not in columns:
+            raise DataError(f"unknown index column {index_column!r}")
+        rows = []
+        for r, fields in enumerate(reader, start=1):
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise DataError(f"malformed row {r}: expected {len(header)} fields, got {len(fields)}")
+            try:
+                day = Date.fromisoformat(fields[0].strip())
+            except ValueError:
+                raise DataError(f"row {r}, column date: invalid ISO-8601 date {fields[0]!r}") from None
+            values = []
+            for name, raw in zip(columns, fields[1:]):
+                try:
+                    price = float(raw)
+                except ValueError:
+                    raise DataError(f"row {r}, column {name}: invalid number {raw!r}") from None
+                if not math.isfinite(price) or price <= 0:
+                    raise DataError(f"row {r}, column {name}: price must be positive and finite")
+                values.append(price)
+            rows.append((day, values))
+    if len(rows) < 2:
+        raise DataError("need at least two data rows")
+    rows.sort(key=lambda item: item[0])
+    for (a, _), (b, _) in zip(rows, rows[1:]):
+        if a == b:
+            raise DataError(f"duplicate date {a.isoformat()}")
+    matrix = np.array([vals for _, vals in rows], dtype=np.float64)
+    return tuple(day for day, _ in rows), matrix[:, 1:], matrix[:, 0]
+
+
+def _outcome(load, path):
+    try:
+        result = load(path, "INDEX")
+    except DataError as e:
+        return str(e)
+    if not isinstance(result, tuple):
+        result = (result.dates, result.prices, result.index_prices)
+    dates, prices, index_prices = result
+    return dates, prices.tobytes(), index_prices.tobytes()
+
+
+# Cells on which csv.reader with float() and the new reader agree by design: no
+# digit separators, no non-ASCII digits and no quote left open at a line's end.
+# Good cells and dates are repeated so that a fair share of the files load.
+_GOOD_CELLS = ["1", "2.5", "10.25", " 3 ", "\t4", "1e3", ".5", "5.", "+7", "1E-2", '"1.5"', '"1"2', "\x0c6"]
+_CELLS = st.sampled_from(_GOOD_CELLS * 20 + [
+    "0", "-1", "x", "", "nan", "inf", "-inf", "1e400", "1e-400", "1#2", "1 2", '"1,5"', '"1""2"',
+    '1"2"', ' "1"', '"x"',
+])
+
+
+@st.composite
+def price_lines(draw):
+    """One data line: mostly a record of the header's width, sometimes a misfit or a blank."""
+    kind = draw(st.sampled_from(["record"] * 12 + ["misfit", "blank", "blank"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\x0c"]))
+    day = draw(st.dates(Date(2020, 1, 1), Date(2020, 12, 31))).isoformat()
+    day = draw(st.sampled_from([day] * 30 + [f" {day} ", f'"{day}"', day.replace("-", ""), "2020-02-30", "x", ""]))
+    width = 3 if kind == "record" else draw(st.sampled_from([1, 2, 4]))
+    return ",".join([day, *draw(st.lists(_CELLS, min_size=width, max_size=width))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(st.tuples(price_lines(), st.sampled_from(["\n", "\r\n", "\r"])), max_size=5),
+    final_break=st.booleans(),
+)
+def test_load_prices_matches_the_reference_parser(tmp_path_factory, lines, final_break):
+    text = "date,INDEX,AAA,BBB\n" + "".join(line + end for line, end in lines)
+    if lines and not final_break:
+        text = text[: -len(lines[-1][1])]
+    path = tmp_path_factory.mktemp("csv") / "prices.csv"
+    path.write_bytes(text.encode())
+    assert _outcome(load_prices, path) == _outcome(_reference_load_prices, path)
+
+
+_POSITIVE = st.floats(min_value=5e-324, max_value=1.7e308, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def decimal_strings(draw):
+    """A positive decimal in one of the forms price files hold."""
+    form = draw(st.sampled_from(["repr", "e", "f", "digits"]))
+    if form == "repr":
+        return repr(draw(_POSITIVE))
+    if form == "e":
+        return f"{draw(_POSITIVE):.{draw(st.integers(0, 40))}e}"
+    if form == "f":
+        return f"{draw(st.floats(1e-6, 1e22)):.{draw(st.integers(0, 30))}f}"
+    # long mantissas and exponents down to the subnormal range
+    mantissa = draw(st.text("0123456789", min_size=1, max_size=40))
+    point = draw(st.integers(0, len(mantissa)))
+    exponent = draw(st.one_of(st.integers(-345, -280), st.integers(-30, 30), st.integers(280, 308)))
+    return f"{mantissa[:point]}.{mantissa[point:]}e{exponent}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=st.lists(decimal_strings().filter(lambda s: 0 < float(s) < math.inf), min_size=2, max_size=12))
+def test_load_prices_converts_decimals_as_float_does(tmp_path_factory, cells):
+    values = [float(cell) for cell in cells]
+    names = [f"C{j}" for j in range(len(cells))]
+    path = tmp_path_factory.mktemp("csv") / "prices.csv"
+    path.write_text(
+        f"date,{','.join(names)}\n2020-01-02,{','.join(cells)}\n2020-01-03,{','.join(['1'] * len(cells))}\n"
+    )
+    table = load_prices(path, "C0")
+    got = np.concatenate([table.index_prices[:1], table.prices[0]])
+    assert got.tobytes() == np.array(values, dtype=np.float64).tobytes()
 
 
 def test_load_prices_missing_file(tmp_path):
