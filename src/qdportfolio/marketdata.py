@@ -138,7 +138,7 @@ class WindowSample:
     index_returns: np.ndarray  # (W,)
 
 
-# Converts the value cells of price lines, splitting and unquoting as csv.reader does.
+# Reads price lines, splitting and unquoting them as csv.reader does.
 _read_cells = partial(np.loadtxt, delimiter=",", comments=None, quotechar='"', ndmin=2)
 
 
@@ -169,66 +169,54 @@ def load_prices(path: str | Path, index_column: str) -> PriceTable:
             raise DataError(f"unknown index column {index_column!r}")
         lines = fh.readlines()  # split where csv.reader splits: \n, \r\n and \r
 
-    rows, dates, fault = [], [], None  # good rows' numbers and dates; the first bad line's message
-    for r, line in enumerate(lines, start=1):
-        if line in ("\n", "\r\n", "\r"):
-            continue
-        fields = next(csv.reader([line])) if '"' in line else None
-        count, first = (len(fields), fields[0]) if fields else (line.count(",") + 1, line.partition(",")[0])
-        if fields and fields[-1].endswith(("\n", "\r")):  # csv keeps a line break only in an open quote
-            fault = f"malformed row {r}: a quoted field runs past the end of the line"
-        elif count != len(header):
-            fault = f"malformed row {r}: expected {len(header)} fields, got {count}"
-        else:
-            try:
-                dates.append(Date.fromisoformat(first.strip()))
-                rows.append(r)
-                continue
-            except ValueError:
-                fault = f"row {r}, column date: invalid ISO-8601 date {first!r}"
-        break
-    matrix = None
-    if fault is None and len(rows) >= 2:
-        with suppress(ValueError):  # _first_bad_cell names the cell
-            matrix = _read_cells([lines[r - 1] for r in rows], usecols=range(1, len(header)))
-    if matrix is None or not ((matrix > 0) & (matrix < np.inf)).all():
-        raise DataError(_first_bad_cell(lines, rows, columns) or fault or "need at least two data rows")
-    order = sorted(range(len(rows)), key=dates.__getitem__)
-    dates = [dates[i] for i in order]
-    for a, b in zip(dates, dates[1:]):
+    table = None  # per record: the date's day number, then the prices
+    if any(map(str.strip, lines)):  # loadtxt warns on input without data
+        with suppress(ValueError):  # _first_fault names the fault
+            table = _read_cells(lines, converters={0: lambda day: Date.fromisoformat(day.strip()).toordinal()})
+    if (table is None or table.shape[1] != len(header) or len(table) < 2
+            or not ((table[:, 1:] > 0) & (table[:, 1:] < np.inf)).all()):
+        raise DataError(_first_fault(lines, header) or "need at least two data rows")
+    table = table[np.argsort(table[:, 0])]
+    days = [Date.fromordinal(int(day)) for day in table[:, 0]]
+    for a, b in zip(days, days[1:]):
         if a == b:
             raise DataError(f"duplicate date {a.isoformat()}")
 
-    matrix = matrix[order]
-    idx = columns.index(index_column)
-    keep = [j for j in range(len(columns)) if j != idx]
+    idx = header.index(index_column)
+    keep = [j for j in range(1, len(header)) if j != idx]
     return PriceTable(
-        dates=tuple(dates),
-        tickers=tuple(columns[j] for j in keep),
-        prices=matrix[:, keep],
+        dates=tuple(days),
+        tickers=tuple(header[j] for j in keep),
+        prices=table[:, keep],
         index_name=index_column,
-        index_prices=matrix[:, idx],
+        index_prices=table[:, idx],
     )
 
 
-def _first_bad_cell(lines: list[str], rows: list[int], columns: list[str]) -> str | None:
-    """Name the first cell of `rows`, in row-major order, that is no positive finite price.
-
-    Each line, then each cell of a line that fails, goes through `_read_cells`,
-    so the scan and the table's conversion cannot disagree.  No table is built.
-    """
-    for r in rows:
-        with suppress(ValueError):
-            values = _read_cells([lines[r - 1]], usecols=range(1, len(columns) + 1))
+def _first_fault(lines: list[str], header: list[str]) -> str | None:
+    """Name the first bad record or cell in a row-by-row read that converts cells as the table does."""
+    reader, end = csv.reader(lines), 0
+    for r, fields in enumerate(reader, start=1):
+        record, end = lines[end:reader.line_num], reader.line_num
+        if not fields:
+            continue
+        if len(fields) != len(header):
+            return f"malformed row {r}: expected {len(header)} fields, got {len(fields)}"
+        try:
+            Date.fromisoformat(fields[0].strip())
+        except ValueError:
+            return f"row {r}, column date: invalid ISO-8601 date {fields[0]!r}"
+        with suppress(ValueError):  # a record of good cells is read at once, any other cell by cell
+            values = _read_cells(record, usecols=range(1, len(header)))
             if ((values > 0) & (values < np.inf)).all():
                 continue
-        for j, name in enumerate(columns, start=1):
+        for j in range(1, len(header)):
             try:
-                value = _read_cells([lines[r - 1]], usecols=[j])[0, 0]
+                value = _read_cells(record, usecols=[j])[0, 0]
             except ValueError:
-                return f"row {r}, column {name}: invalid number {next(csv.reader([lines[r - 1]]))[j]!r}"
+                return f"row {r}, column {header[j]}: invalid number {fields[j]!r}"
             if not 0 < value < math.inf:
-                return f"row {r}, column {name}: price must be positive and finite"
+                return f"row {r}, column {header[j]}: price must be positive and finite"
     return None
 
 
@@ -347,8 +335,8 @@ def synth_dataset(
         raise DataError("need at least two days")
     if not (1 <= k_sparse <= n_assets):
         raise DataError(f"k_sparse must lie in [1, {n_assets}], got {k_sparse}")
-    if noise_scale < 0:
-        raise DataError("noise scale must be non-negative")
+    if not 0 <= noise_scale < math.inf:
+        raise DataError(f"noise scale must be finite and non-negative, got {noise_scale}")
     rng = np.random.default_rng(seed)
     returns = 0.01 * rng.standard_normal((n_days, n_assets))
     support = np.sort(rng.choice(n_assets, size=k_sparse, replace=False))

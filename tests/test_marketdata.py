@@ -67,6 +67,7 @@ def test_load_prices_sorts_by_date(tmp_path):
         ("date,INDEX,AAA\n2020-01-02,1,-3\n2020-01-03,1,1\n", "row 1, column AAA"),
         ("date,INDEX,AAA\n2020-01-02,1,0\n2020-01-03,1,1\n", "row 1, column AAA"),
         ("date,INDEX,AAA\n2020-01-02,1,1\n", "at least two data rows"),
+        ("date,INDEX,AAA\n\n\r\n", "at least two data rows"),
         ("date,INDEX,AAA\n2020-01-02,1,1\n2020-01-02,2,2\n", "duplicate date"),
         # row numbers count blank lines; a line of blanks is a record of one field
         ("date,INDEX,AAA\n2020-01-02,1,1\n\n2020-01-03,1,x\n", "row 3, column AAA: invalid number 'x'"),
@@ -75,7 +76,8 @@ def test_load_prices_sorts_by_date(tmp_path):
         ("date,INDEX,AAA\n2020-01-02,1,1#2\n2020-01-03,1,1\n", "row 1, column AAA: invalid number '1#2'"),
         ("date,INDEX,AAA\n2020-01-02,1,\n2020-01-03,1,1\n", "row 1, column AAA: invalid number ''"),
         ('date,INDEX,AAA\n2020-01-02,1,"1,5"\n2020-01-03,1,1\n', "row 1, column AAA: invalid number '1,5'"),
-        ('date,INDEX,AAA\n2020-01-02,1,"1\n2020-01-03,1,1\n', "malformed row 1: a quoted field runs past"),
+        # an open quote runs on over the line breaks, as csv.reader reads it
+        ('date,INDEX,AAA\n2020-01-02,1,"1\n2020-01-03,1,1\n', r"row 1, column AAA: invalid number '1\\n2020-01-03"),
         ("date,INDEX,AAA\n2020-01-02,1,nan\n2020-01-03,1,1\n", "row 1, column AAA: price must be positive"),
         ("date,INDEX,AAA\n2020-01-02,1,inf\n2020-01-03,1,1\n", "row 1, column AAA: price must be positive"),
         # digit separators and non-ASCII digits are not part of the number grammar
@@ -88,6 +90,7 @@ def test_load_prices_sorts_by_date(tmp_path):
         ("date,INDEX,AAA\n2020-01-02,1,x\n", "row 1, column AAA: invalid number"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_load_prices_rejects_bad_input(tmp_path, text, fragment):
     index = "NOPE" if fragment.startswith("unknown") else "INDEX"
     with pytest.raises(DataError, match=fragment):
@@ -105,8 +108,13 @@ def test_load_prices_rejects_bad_input(tmp_path, text, fragment):
         GOOD_CSV.replace("\n2020-01-03", "\n\n\r\n2020-01-03") + "\n",
         # \x0c and \x85 end a line for str.splitlines, not for csv.reader
         GOOD_CSV.replace("20.0\n", "20.0\x0c\n").replace("19.8\n", "19.8\x85\n"),
+        # a quoted cell may hold a line break; a quote left open on the last line ends with the file
+        GOOD_CSV.replace(",10.0,", ',"10.0\n",').replace(",10.1,", ',"\r\n10.1",'),
+        GOOD_CSV.replace(",19.9\n", ',"19.9\n'),
+        GOOD_CSV.replace(",19.9\n", ',"19.9'),
     ],
-    ids=["crlf", "cr", "no_final_newline", "quoted", "blanks", "blank_lines", "not_line_breaks"],
+    ids=["crlf", "cr", "no_final_newline", "quoted", "blanks", "blank_lines", "not_line_breaks",
+         "quoted_line_breaks", "open_quote_at_end", "open_quote_at_end_no_newline"],
 )
 def test_load_prices_reads_the_csv_dialect(tmp_path, text):
     path = tmp_path / "prices.csv"
@@ -174,12 +182,13 @@ def _outcome(load, path):
 
 
 # Cells on which csv.reader with float() and the new reader agree by design: no
-# digit separators, no non-ASCII digits and no quote left open at a line's end.
-# Good cells and dates are repeated so that a fair share of the files load.
+# digit separators and no non-ASCII digits.  An open quote ('"1') runs on into
+# the next lines.  Good cells and dates are repeated so that a fair share of the
+# files load.
 _GOOD_CELLS = ["1", "2.5", "10.25", " 3 ", "\t4", "1e3", ".5", "5.", "+7", "1E-2", '"1.5"', '"1"2', "\x0c6"]
 _CELLS = st.sampled_from(_GOOD_CELLS * 20 + [
     "0", "-1", "x", "", "nan", "inf", "-inf", "1e400", "1e-400", "1#2", "1 2", '"1,5"', '"1""2"',
-    '1"2"', ' "1"', '"x"',
+    '1"2"', ' "1"', '"x"', '"1', '"',
 ])
 
 
@@ -344,6 +353,8 @@ def test_synth_dataset_determinism_and_validation():
         synth_dataset(n_assets=5, n_days=50, k_sparse=6, noise_scale=0.0, seed=0)
     with pytest.raises(DataError):
         synth_dataset(n_assets=5, n_days=50, k_sparse=2, noise_scale=-0.1, seed=0)
+    with pytest.raises(DataError, match="noise scale"):
+        synth_dataset(n_assets=5, n_days=50, k_sparse=2, noise_scale=math.nan, seed=0)
 
 
 def test_panels_are_immutable():
