@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 from dataclasses import MISSING, replace
@@ -58,8 +59,12 @@ def parse_config_file(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise UsageError(f"no such config file: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path} is not UTF-8 text ({e.reason})") from None
     values: dict = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -377,8 +382,10 @@ def _cmd_plot(args) -> int:
     path = Path(_require(args, "data"))
     if not path.exists():
         raise DataError(f"no such series file: {path}")
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"), newline="")))
+    except (UnicodeDecodeError, csv.Error) as e:  # not UTF-8, or a field over csv's size limit
+        raise DataError(f"unreadable series file {path}: {e}") from None
     if not rows or rows[0][:1] != ["date"] or len(rows[0]) < 2:
         raise DataError(f"{path}: expected a header starting with 'date'")
     names = rows[0][1:]

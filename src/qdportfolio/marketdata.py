@@ -4,7 +4,8 @@ The on-disk format is a wide CSV: a `date` column of ISO-8601 dates
 followed by one column per ticker.  One of the columns is designated as
 the index to be tracked; the remaining columns are the investable assets.
 All tables are immutable after construction (arrays are marked
-read-only).  Every file the package writes goes through `write_text`.
+read-only).  Every file the package reads or writes is UTF-8 text; every
+file it writes goes through `write_text`.
 """
 from __future__ import annotations
 
@@ -151,23 +152,26 @@ def load_prices(path: str | Path, index_column: str) -> PriceTable:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty file: {path}") from None
-        header = [h.strip() for h in header]
-        if not header or header[0] != "date":
-            raise DataError("header must start with a 'date' column")
-        columns = header[1:]
-        if len(columns) < 2:
-            raise DataError("need at least two price columns (index plus one asset)")
-        if len(set(columns)) != len(columns):
-            raise DataError("duplicate column names in header")
-        if index_column not in columns:
-            raise DataError(f"unknown index column {index_column!r}")
-        lines = fh.readlines()  # split where csv.reader splits: \n, \r\n and \r
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            lines = fh.readlines()  # split where csv.reader splits: \n, \r\n and \r
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path} is not UTF-8 text ({e.reason})") from None
+    except csv.Error as e:  # a field longer than csv.field_size_limit()
+        raise DataError(f"header: {e}") from None
+    if header is None:
+        raise DataError(f"empty file: {path}")
+    header = [h.strip() for h in header]
+    if not header or header[0] != "date":
+        raise DataError("header must start with a 'date' column")
+    columns = header[1:]
+    if len(columns) < 2:
+        raise DataError("need at least two price columns (index plus one asset)")
+    if len(set(columns)) != len(columns):
+        raise DataError("duplicate column names in header")
+    if index_column not in columns:
+        raise DataError(f"unknown index column {index_column!r}")
 
     table = None  # per record: the date's day number, then the prices
     if any(map(str.strip, lines)):  # loadtxt warns on input without data
@@ -195,28 +199,31 @@ def load_prices(path: str | Path, index_column: str) -> PriceTable:
 
 def _first_fault(lines: list[str], header: list[str]) -> str | None:
     """Name the first bad record or cell in a row-by-row read that converts cells as the table does."""
-    reader, end = csv.reader(lines), 0
-    for r, fields in enumerate(reader, start=1):
-        record, end = lines[end:reader.line_num], reader.line_num
-        if not fields:
-            continue
-        if len(fields) != len(header):
-            return f"malformed row {r}: expected {len(header)} fields, got {len(fields)}"
-        try:
-            Date.fromisoformat(fields[0].strip())
-        except ValueError:
-            return f"row {r}, column date: invalid ISO-8601 date {fields[0]!r}"
-        with suppress(ValueError):  # a record of good cells is read at once, any other cell by cell
-            values = _read_cells(record, usecols=range(1, len(header)))
-            if ((values > 0) & (values < np.inf)).all():
+    reader, end, r = csv.reader(lines), 0, 0
+    try:
+        for r, fields in enumerate(reader, start=1):
+            record, end = lines[end:reader.line_num], reader.line_num
+            if not fields:
                 continue
-        for j in range(1, len(header)):
+            if len(fields) != len(header):
+                return f"malformed row {r}: expected {len(header)} fields, got {len(fields)}"
             try:
-                value = _read_cells(record, usecols=[j])[0, 0]
+                Date.fromisoformat(fields[0].strip())
             except ValueError:
-                return f"row {r}, column {header[j]}: invalid number {fields[j]!r}"
-            if not 0 < value < math.inf:
-                return f"row {r}, column {header[j]}: price must be positive and finite"
+                return f"row {r}, column date: invalid ISO-8601 date {fields[0]!r}"
+            with suppress(ValueError):  # a record of good cells is read at once, any other cell by cell
+                values = _read_cells(record, usecols=range(1, len(header)))
+                if ((values > 0) & (values < np.inf)).all():
+                    continue
+            for j in range(1, len(header)):
+                try:
+                    value = _read_cells(record, usecols=[j])[0, 0]
+                except ValueError:
+                    return f"row {r}, column {header[j]}: invalid number {fields[j]!r}"
+                if not 0 < value < math.inf:
+                    return f"row {r}, column {header[j]}: price must be positive and finite"
+    except csv.Error as e:  # a field longer than csv.field_size_limit()
+        return f"row {r + 1}: {e}"
     return None
 
 
@@ -230,7 +237,7 @@ def write_text(path: str | Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.tmp")
     try:
-        tmp.write_text(text, newline="")
+        tmp.write_text(text, encoding="utf-8", newline="")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import diffcore as dc
 from . import generator as gen
-from .marketdata import WindowSample
+from .marketdata import ReturnPanel, WindowSample
 
 __all__ = [
     "LossConfig",
@@ -73,7 +73,7 @@ class TotalLossResult:
     population: gen.Population
 
 
-def portfolio_returns(weights, window: WindowSample) -> dc.Node:
+def portfolio_returns(weights, window: WindowSample | ReturnPanel) -> dc.Node:
     """Daily return series of each sub-portfolio over one window.
 
     Row i is the weighted sum of asset log returns under weights[i]; this

@@ -10,6 +10,7 @@ which a sign flip shrinks the step and skips the weight update.
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,6 +269,7 @@ class CmaesGeneration:
     mean: np.ndarray
     sigma: float
     min_eigenvalue: float
+    seconds: float  # wall clock of this generation
 
 
 @dataclass
@@ -332,6 +334,7 @@ def cmaes_run(
     evaluations = 0
 
     for g in range(1, iterations + 1):
+        t0 = time.monotonic()
         cov = (cov + cov.T) / 2.0
         eigvals, eigvecs = np.linalg.eigh(cov)
         min_eig = float(eigvals.min())
@@ -384,6 +387,7 @@ def cmaes_run(
                 mean=mean.copy(),
                 sigma=sigma,
                 min_eigenvalue=min_eig,
+                seconds=time.monotonic() - t0,
             )
         )
 

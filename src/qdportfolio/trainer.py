@@ -14,7 +14,9 @@ from artifact comparisons.
 from __future__ import annotations
 
 import base64
+import csv
 import enum
+import io
 import json
 import math
 import time
@@ -28,7 +30,7 @@ from . import diffcore as dc
 from . import ensemble as ens
 from . import generator as gen
 from . import objective as obj
-from .marketdata import DataError, ReturnPanel, SplitPanels, WindowSample, sample_window, write_text
+from .marketdata import DataError, ReturnPanel, SplitPanels, sample_window, write_text
 from .optim import (
     BASELINE_HYPER,
     GENERATOR_HYPER,
@@ -326,8 +328,8 @@ def load_checkpoint(path: str | Path) -> dict:
     if not path.exists():
         raise DataError(f"no such checkpoint: {path}")
     try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"unreadable checkpoint {path}: {e}") from None
     if not isinstance(payload, dict):
         raise DataError(f"checkpoint {path} is not a JSON object")
@@ -511,6 +513,47 @@ def _resume_from(config: TrainConfig, resume: dict) -> tuple[_Snapshot, _Snapsho
 
 
 # --------------------------------------------------------------------------
+# the bookkeeping every run shares
+
+class _RunRecord:
+    """One run's losses, validation cadence, best iteration and timings."""
+
+    def __init__(self, config: TrainConfig, validation: ReturnPanel,
+                 best_iteration: int = 0, best_mse: float = float("inf")):
+        self.config, self.validation = config, validation
+        self.best_iteration, self.best_mse = best_iteration, best_mse  # a resumed snapshot's best
+        self.losses, self.evals, self.wall_clock = [], [], []  # LossReport, EvalRecord, seconds
+
+    def record(self, i: int, loss: obj.LossReport, population, started: float) -> bool:
+        """Keep iteration `i`; validate `population()` on the cadence.  True at a new best.
+
+        `started` is the `time.monotonic()` at which the iteration began.
+        """
+        self.losses.append(loss)
+        best = False
+        if i % self.config.eval_every == 0 or i == self.config.iterations:
+            report = ens.evaluate_population(
+                population(), self.validation, bag_mode=self.config.bag_mode
+            )
+            self.evals.append(EvalRecord(iteration=i, report=report))
+            best = report.ensemble_mse < self.best_mse
+            if best:
+                self.best_iteration, self.best_mse = i, report.ensemble_mse
+        self.wall_clock.append(time.monotonic() - started)
+        return best
+
+    def artifacts(self, label: str, final_checkpoint: dict, best_checkpoint: dict,
+                  evaluations_used: int, start_iteration: int = 0) -> RunArtifacts:
+        return RunArtifacts(
+            label=label, config=config_to_flat(self.config), losses=self.losses, evals=self.evals,
+            best_iteration=self.best_iteration, best_validation_mse=self.best_mse,
+            final_checkpoint=final_checkpoint, best_checkpoint=best_checkpoint,
+            evaluations_used=evaluations_used, wall_clock=self.wall_clock,
+            start_iteration=start_iteration,
+        )
+
+
+# --------------------------------------------------------------------------
 # generator training
 
 def train_generator(
@@ -541,18 +584,18 @@ def train_generator(
     else:
         start, best = _resume_from(config, resume)
     theta, state, opt_state = start.theta, start.state, start.optimizer
-    best_iteration, best_mse = start.best_iteration, start.best_mse
     rngs = {name: _rng_from_state(rng_state) for name, rng_state in start.rng.items()}
+    run = _RunRecord(config, data.validation, start.best_iteration, start.best_mse)
 
     def snapshot(i: int) -> _Snapshot:
         rng_states = {name: rng.bit_generator.state for name, rng in rngs.items()}
         return _Snapshot(
-            i, theta, state, opt_state, rng_states, start.eval_noise, best_iteration, best_mse
+            i, theta, state, opt_state, rng_states, start.eval_noise, run.best_iteration, run.best_mse
         )
 
-    losses: list[obj.LossReport] = []
-    evals: list[EvalRecord] = []
-    wall_clock: list[float] = []
+    def eval_population() -> gen.Population:
+        params = gen.GeneratorParams.from_flat(config.generator, theta)
+        return gen.forward(params, state, start.eval_noise, mode="eval").population
 
     for i in range(start.iteration + 1, config.iterations + 1):
         t0 = time.monotonic()
@@ -564,47 +607,19 @@ def train_generator(
                 params, state, noise, window, config.loss, rngs["corruption"]
             )
             dc.backward(result.loss)
-            grads = np.concatenate([
-                np.ravel(
-                    result.param_nodes[name].grad
-                    if result.param_nodes[name].grad is not None
-                    else np.zeros_like(getattr(params, name))
-                )
-                for name in gen.PARAM_ORDER
-            ])
+            grads = np.concatenate([result.param_nodes[name].grad.ravel() for name in gen.PARAM_ORDER])
             theta, opt_state = step(kind, theta, grads, opt_state, config.hyper)
             state = result.new_state
-            losses.append(result.report)
-
-            if i % config.eval_every == 0 or i == config.iterations:
-                eval_fwd = gen.forward(
-                    gen.GeneratorParams.from_flat(config.generator, theta), state,
-                    start.eval_noise, mode="eval",
-                )
-                report = ens.evaluate_population(
-                    eval_fwd.population, data.validation, bag_mode=config.bag_mode
-                )
-                evals.append(EvalRecord(iteration=i, report=report))
-                if report.ensemble_mse < best_mse:
-                    best_iteration, best_mse = i, report.ensemble_mse
-                    best = snapshot(i)
+            if run.record(i, result.report, eval_population, t0):
+                best = snapshot(i)
         except (dc.NonFiniteError, OptimError) as e:
             raise TrainError(f"iteration {i}: {e}") from e
-        wall_clock.append(time.monotonic() - t0)
 
     best_checkpoint = best.encode(config) if best is not None else None
     final_checkpoint = snapshot(config.iterations).encode(config, best_checkpoint)
-    return RunArtifacts(
-        label="proposed",
-        config=config_to_flat(config),
-        losses=losses,
-        evals=evals,
-        best_iteration=best_iteration,
-        best_validation_mse=best_mse,
-        final_checkpoint=final_checkpoint,
-        best_checkpoint=best_checkpoint or final_checkpoint,
+    return run.artifacts(
+        "proposed", final_checkpoint, best_checkpoint or final_checkpoint,
         evaluations_used=config.generator.population * config.iterations,
-        wall_clock=wall_clock,
         start_iteration=start.iteration,
     )
 
@@ -613,8 +628,7 @@ def train_generator(
 # baselines
 
 def _baseline_payload(config: TrainConfig, kind: OptimizerKind, iteration: int,
-                      logits: np.ndarray, best_iteration: int, best_mse: float,
-                      best_logits: np.ndarray) -> dict:
+                      logits: np.ndarray, run: _RunRecord, best_logits: np.ndarray) -> dict:
     return {
         "format_version": CHECKPOINT_VERSION,
         "kind": "baseline",
@@ -623,20 +637,11 @@ def _baseline_payload(config: TrainConfig, kind: OptimizerKind, iteration: int,
         "iteration": iteration,
         "logits": pack_array(logits),
         "best": {
-            "iteration": best_iteration,
-            "validation_mse": best_mse,
+            "iteration": run.best_iteration,
+            "validation_mse": run.best_mse,
             "logits": pack_array(best_logits),
         },
     }
-
-
-def _full_panel_window(panel: ReturnPanel) -> WindowSample:
-    return WindowSample(
-        start=0,
-        length=panel.n_rows,
-        returns=panel.returns,
-        index_returns=panel.index_returns,
-    )
 
 
 def logits_population(logits: np.ndarray) -> gen.Population:
@@ -656,25 +661,14 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
     """
     kind = OptimizerKind(kind)
     n = data.train.n_assets
-    losses: list[obj.LossReport] = []
-    evals: list[EvalRecord] = []
-    wall_clock: list[float] = []
-    best_mse = float("inf")
-    best_iteration = 0
+    run = _RunRecord(config, data.validation)
     best_logits = np.zeros(n)
 
-    def record(i: int, logits: np.ndarray, mse: float) -> None:
-        nonlocal best_mse, best_iteration, best_logits
-        losses.append(obj.LossReport(tracking_mse=mse, max_corr=0.0, total=mse, window_start=0))
-        if i % config.eval_every == 0 or i == config.iterations:
-            report = ens.evaluate_population(
-                logits_population(logits), data.validation, bag_mode=config.bag_mode
-            )
-            evals.append(EvalRecord(iteration=i, report=report))
-            if report.ensemble_mse < best_mse:
-                best_mse = report.ensemble_mse
-                best_iteration = i
-                best_logits = logits.copy()
+    def record(i: int, logits: np.ndarray, mse: float, started: float) -> None:
+        nonlocal best_logits
+        loss = obj.LossReport(tracking_mse=mse, max_corr=0.0, total=mse, window_start=0)
+        if run.record(i, loss, lambda: logits_population(logits), started):
+            best_logits = logits.copy()
 
     if kind is OptimizerKind.CMAES:
         returns = data.train.returns
@@ -688,7 +682,6 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
             return float(np.mean(deviation * deviation))
 
         seed = int(np.random.SeedSequence(config.seed).generate_state(1)[0])
-        t0 = time.monotonic()
         result = cmaes_run(
             objective,
             dim=n,
@@ -698,14 +691,11 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
             sigma0=config.hyper.cmaes_sigma0,
             x0=np.zeros(n),
         )
-        total_elapsed = time.monotonic() - t0
-        for generation in result.generations:
-            record(generation.generation, generation.best_x, generation.best_f)
-            wall_clock.append(total_elapsed / max(1, len(result.generations)))
+        for g in result.generations:  # timed as the generation's own work plus its validation
+            record(g.generation, g.best_x, g.best_f, time.monotonic() - g.seconds)
         logits = result.generations[-1].best_x
         evaluations_used = result.evaluations
     else:
-        window = _full_panel_window(data.train)
         logits = np.zeros(n)
         opt_state = init_state(kind, n, config.hyper)
         for i in range(1, config.iterations + 1):
@@ -713,32 +703,20 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
             try:
                 leaf = dc.Node(logits.copy(), op="logits")
                 weights = dc.softmax(dc.reshape(leaf, (1, n)))
-                series = obj.portfolio_returns(weights, window)
-                loss = obj.tracking_loss(series, window.index_returns)
+                series = obj.portfolio_returns(weights, data.train)
+                loss = obj.tracking_loss(series, data.train.index_returns)
                 dc.backward(loss)
-                grads = leaf.grad if leaf.grad is not None else np.zeros(n)
-                logits, opt_state = step(kind, logits, grads, opt_state, config.hyper)
-                record(i, logits, float(loss.value))
+                logits, opt_state = step(kind, logits, leaf.grad, opt_state, config.hyper)
+                record(i, logits, float(loss.value), t0)
             except (dc.NonFiniteError, OptimError) as e:
                 raise TrainError(f"iteration {i}: {e}") from e
-            wall_clock.append(time.monotonic() - t0)
         evaluations_used = config.iterations
 
-    return RunArtifacts(
-        label=kind.value,
-        config=config_to_flat(config),
-        losses=losses,
-        evals=evals,
-        best_iteration=best_iteration,
-        best_validation_mse=best_mse,
-        final_checkpoint=_baseline_payload(
-            config, kind, config.iterations, logits, best_iteration, best_mse, best_logits
-        ),
-        best_checkpoint=_baseline_payload(
-            config, kind, best_iteration, best_logits, best_iteration, best_mse, best_logits
-        ),
+    return run.artifacts(
+        kind.value,
+        _baseline_payload(config, kind, config.iterations, logits, run, best_logits),
+        _baseline_payload(config, kind, run.best_iteration, best_logits, run, best_logits),
         evaluations_used=evaluations_used,
-        wall_clock=wall_clock,
     )
 
 
@@ -817,8 +795,11 @@ def write_config(flat: dict, path: str | Path) -> None:
 
 def write_rows(path: str | Path, header: list[str], rows) -> None:
     """A CSV file: the header, then one line of `format_value` cells per row."""
-    lines = [",".join(header), *(",".join(map(format_value, row)) for row in rows)]
-    write_text(path, "\n".join(lines) + "\n")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(format_value, row) for row in rows)
+    write_text(path, buffer.getvalue())
 
 
 def save_run(artifacts: RunArtifacts, out_dir: str | Path) -> None:
@@ -845,7 +826,7 @@ def save_comparison(result: ComparisonResult, out_dir: str | Path) -> None:
         (row.optimizer, row.best_validation_mse, row.evaluations_used, row.seed)
         for row in result.rows
     ))
-    failures = [(r.optimizer, r.error.replace(",", ";")) for r in result.rows if r.status != "ok"]
+    failures = [(r.optimizer, r.error) for r in result.rows if r.status != "ok"]
     if failures:
         write_rows(out / FAILURES_CSV, ["optimizer", "error"], failures)
     for label, art in result.artifacts.items():

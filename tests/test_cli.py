@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifact layout, determinism, SVG."""
 import base64
+import csv
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -191,6 +192,26 @@ def test_eval_report_names_the_noise_it_used(workspace, tmp_path, capsys):
     # run.config keeps the checkpoint's own seed, so it still replays the training run
     for name in ("fresh", "stored"):
         assert read_config_lines(tmp_path / name / "run.config")["eval_seed"] == ""
+
+
+def test_eval_quotes_tickers_that_need_quoting(workspace, tmp_path, capsys):
+    lines = workspace["prices"].read_text().splitlines(keepends=True)
+    header = next(csv.reader(lines))
+    names = ["A,1", 'B"2', "C,3", 'D"4', "E,5"]
+    renamed = tmp_path / "renamed.csv"
+    with renamed.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header[:2] + names)
+        fh.writelines(lines[1:])
+    checkpoint = str(workspace["run"] / "checkpoint.best")
+    for data, out in ((workspace["prices"], "plain"), (renamed, "quoted")):
+        assert main(["eval", checkpoint, "--data", str(data), "--out", str(tmp_path / out)]) == 0
+    capsys.readouterr()
+    plain, quoted = (
+        list(csv.reader((tmp_path / out / "weights.csv").read_text().splitlines()))
+        for out in ("plain", "quoted")
+    )
+    rename = dict(zip(header[2:], names))
+    assert quoted == [plain[0], *([rename[ticker], weight] for ticker, weight in plain[1:])]
 
 
 def test_plot_from_series(workspace, tmp_path, capsys):
@@ -604,6 +625,13 @@ def _bad_price_cell(tmp):
     return str(path)
 
 
+def _not_utf8(tmp, text):
+    """`text` with byte 0xff, which UTF-8 never uses, in place of its first '?'."""
+    path = tmp / "latin.txt"
+    path.write_bytes(text.encode("utf-8").replace(b"?", b"\xff", 1))
+    return str(path)
+
+
 def _rprop_checkpoint(ws, tmp):
     assert main(["compare", "--data", str(ws["prices"]), "--config", str(ws["config"]),
                  "--iterations", "2", "--out", str(tmp / "cmp")]) == 0
@@ -697,6 +725,25 @@ _DOCUMENTED_FAILURES = {
     "missing_csv": (
         lambda ws, tmp: ["train", "--data", str(tmp / "absent.csv"), "--out", str(tmp / "out")],
         2, "data", "no such file",
+    ),
+    "price_csv_not_utf8": (
+        lambda ws, tmp: ["ingest", "--data", _not_utf8(tmp, "date,INDEX,A?\n2020-01-01,1.0,1.0\n"),
+                         "--out", str(tmp / "out")],
+        2, "data", "latin.txt is not UTF-8 text",
+    ),
+    "checkpoint_not_utf8": (
+        lambda ws, tmp: ["eval", _not_utf8(tmp, '{"kind": "?"}'), "--data", str(ws["prices"]),
+                         "--out", str(tmp / "out")],
+        2, "data", "latin.txt: 'utf-8' codec can't decode byte 0xff",
+    ),
+    "config_not_utf8": (
+        lambda ws, tmp: _train(ws, tmp, "--config", _not_utf8(tmp, "# caf? au lait\nwindow=10\n")),
+        1, "usage", "latin.txt is not UTF-8 text",
+    ),
+    "series_csv_not_utf8": (
+        lambda ws, tmp: ["plot", "--data", _not_utf8(tmp, "date,index?\n2020-01-01,0.1\n"),
+                         "--out", str(tmp / "out")],
+        2, "data", "latin.txt: 'utf-8' codec can't decode byte 0xff",
     ),
     "bad_price_cell": (
         lambda ws, tmp: ["ingest", "--data", _bad_price_cell(tmp), "--index-column", "INDEX",

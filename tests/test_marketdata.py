@@ -88,6 +88,11 @@ def test_load_prices_sorts_by_date(tmp_path):
         ("date,INDEX,AAA\n2020-01-02,1,x\nnot-a-date,1,1\n", "row 1, column AAA: invalid number"),
         ("date,INDEX,AAA\n2020-01-02,1,0\n2020-01-03,1\n", "row 1, column AAA: price must be positive"),
         ("date,INDEX,AAA\n2020-01-02,1,x\n", "row 1, column AAA: invalid number"),
+        # a field longer than csv.field_size_limit(): in the header, or quoted in a faulty file
+        pytest.param("date,INDEX," + "A" * 140000 + "\n2020-01-02,1,1\n2020-01-03,1,1\n",
+                     "header: field larger than field limit", id="long_header_field"),
+        pytest.param('date,INDEX,AAA\n2020-01-02,1,"' + "1" * 140000 + '"\n2020-01-03,1,1\n',
+                     "row 1: field larger than field limit", id="long_quoted_cell"),
     ],
 )
 @pytest.mark.filterwarnings("error")

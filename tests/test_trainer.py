@@ -142,10 +142,30 @@ def test_train_generator_bookkeeping():
     assert run.final_checkpoint["state"]["iteration"] == 6
 
 
-def test_eval_cadence_includes_final_iteration():
-    run = train_generator(make_config(iterations=7, eval_every=3), make_data())
+_RUN_KINDS = {
+    "generator": train_generator,
+    "rprop": lambda config, data: train_baseline(OptimizerKind.RPROP, config, data),
+    "cmaes": lambda config, data: train_baseline(OptimizerKind.CMAES, config, data),
+}
+
+
+@pytest.mark.parametrize("kind", list(_RUN_KINDS))
+def test_eval_cadence_includes_final_iteration(kind):
+    run = _RUN_KINDS[kind](make_config(iterations=7, eval_every=3), make_data())
     assert [e.iteration for e in run.evals] == [3, 6, 7]
-    assert run.evaluations_used == GEN.population * 7
+    assert len(run.losses) == len(run.wall_clock) == 7
+    first_best = run.evals[int(np.argmin([e.report.ensemble_mse for e in run.evals]))]
+    assert run.best_iteration == first_best.iteration
+    assert run.best_validation_mse == first_best.report.ensemble_mse
+    assert run.best_checkpoint["best"]["iteration"] == run.best_iteration
+    if kind == "generator":
+        assert run.evaluations_used == GEN.population * 7
+
+
+def test_cmaes_baseline_times_each_generation():
+    run = train_baseline(OptimizerKind.CMAES, make_config(iterations=6), make_data())
+    assert len(run.wall_clock) == 6
+    assert len(set(run.wall_clock)) > 1  # not the run's total spread evenly
 
 
 def test_resume_is_bit_identical_to_uninterrupted():
@@ -450,7 +470,7 @@ def test_save_comparison_layout(tmp_path):
     assert table[0] == "optimizer,best_validation_mse,evaluations_used,seed"
     assert len(table) == 5        # sgd, adam, proposed, broken
     failures = (tmp_path / "failures.csv").read_text().splitlines()
-    assert failures == ["optimizer,error", "broken,oops; bad"]
+    assert failures == ["optimizer,error", 'broken,"oops, bad"']
     for label in ("sgd", "adam", "proposed"):
         assert (tmp_path / "runs" / label / "run.config").exists()
         assert (tmp_path / "runs" / label / "checkpoint.best").exists()
