@@ -24,6 +24,7 @@ from .generator import (
 from .marketdata import (
     DataError,
     PriceTable,
+    RangeError,
     ReturnPanel,
     SplitPanels,
     compute_log_returns,
@@ -58,7 +59,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "Node", "backward", "grad_check", "GraphError", "NonFiniteError", "GradCheckError",
-    "DataError", "PriceTable", "ReturnPanel", "SplitPanels",
+    "DataError", "RangeError", "PriceTable", "ReturnPanel", "SplitPanels",
     "load_prices", "compute_log_returns", "time_split", "sample_window", "synth_dataset",
     "GeneratorConfig", "GeneratorParams", "GeneratorState", "Population", "ForwardResult",
     "init_params", "sample_noise", "forward", "sparsemax",

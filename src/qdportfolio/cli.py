@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import sys
 from dataclasses import MISSING, replace
 from pathlib import Path
@@ -23,6 +22,7 @@ from . import ensemble as ens
 from . import trainer
 from .marketdata import (
     DataError,
+    RangeError,
     compute_log_returns,
     load_prices,
     panel_to_prices,
@@ -31,7 +31,7 @@ from .marketdata import (
     write_prices,
     write_text,
 )
-from .optim import BASELINE_HYPER, GENERATOR_HYPER, GRADIENT_KINDS, Hyper, OptimizerKind
+from .optim import BASELINE_HYPER, GENERATOR_HYPER, Hyper
 from .trainer import TrainConfig, TrainError, config_to_flat, format_value
 
 __all__ = ["main", "UsageError", "DEFAULTS", "parse_config_file", "render_svg"]
@@ -57,7 +57,7 @@ DEFAULTS: dict = {name: key.default for name, key in _KEYS.items() if key.defaul
 def parse_config_file(path: str | Path) -> dict:
     """Flat key=value lines; blank lines and full-line # comments skipped."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise UsageError(f"no such config file: {path}")
     try:
         text = path.read_text(encoding="utf-8")
@@ -92,20 +92,21 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qdportfolio", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add_common(p: _Parser, *, data=False, out=False):
+    def add_common(p: _Parser, *, data=False, out=False, seed=False):
         p.add_argument("--config", metavar="PATH", default=None)
         if data:
             p.add_argument("--data", metavar="PATH", default=None)
             p.add_argument("--index-column", metavar="NAME", default=None)
         if out:
             p.add_argument("--out", metavar="DIR", default=None)
-        p.add_argument("--seed", metavar="U64", type=int, default=None)
+        if seed:
+            p.add_argument("--seed", metavar="U64", type=int, default=None)
 
     p_ingest = sub.add_parser("ingest", help="validate and normalize a price CSV")
     add_common(p_ingest, data=True, out=True)
 
     p_synth = sub.add_parser("synth", help="write a synthetic sparse-index dataset")
-    add_common(p_synth, out=True)
+    add_common(p_synth, out=True, seed=True)
     p_synth.add_argument("--index-column", metavar="NAME", default=None)
     p_synth.add_argument("--assets", metavar="N", type=int, default=20)
     p_synth.add_argument("--days", metavar="T", type=int, default=400)
@@ -122,7 +123,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--eval-seed", metavar="U64", type=int, default=None)
 
     p_train = sub.add_parser("train", help="meta-train the portfolio generator")
-    add_common(p_train, data=True, out=True)
+    add_common(p_train, data=True, out=True, seed=True)
     add_train_flags(p_train)
     p_train.add_argument("--resume", metavar="CHECKPOINT", default=None)
 
@@ -133,7 +134,7 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--eval-seed", metavar="U64", type=int, default=None)
 
     p_compare = sub.add_parser("compare", help="run every optimizer plus the generator")
-    add_common(p_compare, data=True, out=True)
+    add_common(p_compare, data=True, out=True, seed=True)
     add_train_flags(p_compare)
 
     p_plot = sub.add_parser("plot", help="render cumulative-return curves as SVG")
@@ -159,8 +160,6 @@ def _resolve(args) -> dict:
     for key in ("seed", "eval_seed"):
         if resolved[key] is not None and resolved[key] < 0:
             raise UsageError(f"{key} must be non-negative, got {resolved[key]}")
-    if not 0 < resolved["train_fraction"] < 1:
-        raise UsageError(f"train_fraction must lie in (0, 1), got {resolved['train_fraction']}")
     return resolved
 
 
@@ -215,14 +214,6 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_synth(args) -> int:
     resolved = _resolve(args)
-    if args.assets < 2:
-        raise UsageError("--assets must be at least 2")
-    if args.days < 2:
-        raise UsageError("--days must be at least 2")
-    if not 1 <= args.sparse <= args.assets:
-        raise UsageError(f"--sparse must lie in [1, {args.assets}], got {args.sparse}")
-    if not 0 <= args.noise_scale < math.inf:
-        raise UsageError(f"--noise-scale must be finite and non-negative, got {args.noise_scale}")
     panel, true_weights = synth_dataset(
         n_assets=args.assets,
         n_days=args.days,
@@ -314,10 +305,7 @@ def _cmd_compare(args) -> int:
     trainer.write_config(_with_data_keys(flat, resolved), out / trainer.RUN_CONFIG)
 
     baseline_hyper = replace(config.hyper, learning_rate=_role_rate(resolved, BASELINE_HYPER))
-    kinds = GRADIENT_KINDS + (OptimizerKind.CMAES,)
-    result = trainer.compare_optimizers(
-        config, split, kinds=kinds, baseline_hyper=baseline_hyper
-    )
+    result = trainer.compare_optimizers(config, split, baseline_hyper=baseline_hyper)
     trainer.save_comparison(result, out)
     top = result.rows[0]
     print(f"best={top.optimizer} mse={format_value(top.best_validation_mse)}")
@@ -380,7 +368,7 @@ def render_svg(names: list[str], series: list[np.ndarray], width: int = 900, hei
 
 def _cmd_plot(args) -> int:
     path = Path(_require(args, "data"))
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"no such series file: {path}")
     try:
         rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"), newline="")))
@@ -419,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             raise UsageError("a command is required (ingest, synth, train, eval, compare, plot)")
         return _COMMANDS[args.command](args)
-    except UsageError as e:
+    except (UsageError, RangeError) as e:  # a RangeError is a DataError too, so it is caught first
         print(f"error: usage: {e}", file=sys.stderr)
         return 1
     except DataError as e:

@@ -234,8 +234,6 @@ def forward(
         raise dc.GraphError(
             f"noise shape {noise.shape} does not match population size {batch}"
         )
-    if noise.shape[1] != params.conv_w.shape[1] + _feature_len(params) - 1:
-        raise dc.GraphError("noise dimension does not match the convolution layout")
     pnodes = param_nodes(params)
     logits, h_new, c_new = _decode(pnodes, state, noise)
     if mode == "train":
@@ -254,14 +252,6 @@ def forward(
         )
     new_state = GeneratorState(h=h_new.value, c=c_new.value, iteration=state.iteration + 1)
     return ForwardResult(population=population, state=new_state, param_nodes=pnodes)
-
-
-def _feature_len(params: GeneratorParams) -> int:
-    channels = params.conv_w.shape[0]
-    features = params.lstm_wx.shape[1]
-    if features % channels:
-        raise dc.GraphError("LSTM input width is not a multiple of the channel count")
-    return features // channels
 
 
 def sparsemax(z: np.ndarray) -> np.ndarray:

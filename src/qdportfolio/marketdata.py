@@ -23,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "DataError",
+    "RangeError",
     "PriceTable",
     "ReturnPanel",
     "SplitPanels",
@@ -40,6 +41,10 @@ __all__ = [
 
 class DataError(ValueError):
     """Invalid input data; the message names the offending row or column."""
+
+
+class RangeError(DataError):
+    """An argument outside its valid range; the message names it and its value."""
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -72,7 +77,7 @@ class PriceTable:
             raise DataError("prices must be strictly positive")
         for a, b in zip(self.dates, self.dates[1:]):
             if not a < b:
-                raise DataError(f"dates are not strictly increasing at {b}")
+                raise DataError(f"duplicate date {b}" if a == b else f"dates are not strictly increasing at {b}")
 
     @property
     def n_rows(self) -> int:
@@ -150,7 +155,7 @@ def load_prices(path: str | Path, index_column: str) -> PriceTable:
     counting blank lines) and column wherever possible.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"no such file: {path}")
     try:
         with path.open(newline="", encoding="utf-8") as fh:
@@ -181,15 +186,10 @@ def load_prices(path: str | Path, index_column: str) -> PriceTable:
             or not ((table[:, 1:] > 0) & (table[:, 1:] < np.inf)).all()):
         raise DataError(_first_fault(lines, header) or "need at least two data rows")
     table = table[np.argsort(table[:, 0])]
-    days = [Date.fromordinal(int(day)) for day in table[:, 0]]
-    for a, b in zip(days, days[1:]):
-        if a == b:
-            raise DataError(f"duplicate date {a.isoformat()}")
-
     idx = header.index(index_column)
     keep = [j for j in range(1, len(header)) if j != idx]
     return PriceTable(
-        dates=tuple(days),
+        dates=tuple(Date.fromordinal(int(day)) for day in table[:, 0]),
         tickers=tuple(header[j] for j in keep),
         prices=table[:, keep],
         index_name=index_column,
@@ -291,7 +291,7 @@ def panel_to_prices(
 def time_split(panel: ReturnPanel, fraction: float) -> SplitPanels:
     """Split chronologically; the first floor(rows * fraction) rows train."""
     if not (0.0 < fraction < 1.0):
-        raise DataError(f"train fraction must lie in (0, 1), got {fraction}")
+        raise RangeError(f"train_fraction must lie in (0, 1), got {fraction}")
     n_train = math.floor(panel.n_rows * fraction)
     if n_train < 1 or panel.n_rows - n_train < 1:
         raise DataError(
@@ -337,13 +337,13 @@ def synth_dataset(
     Returns the panel and the true weight vector.
     """
     if n_assets < 2:
-        raise DataError("need at least two assets")
+        raise RangeError(f"n_assets must be at least 2, got {n_assets}")
     if n_days < 2:
-        raise DataError("need at least two days")
+        raise RangeError(f"n_days must be at least 2, got {n_days}")
     if not (1 <= k_sparse <= n_assets):
-        raise DataError(f"k_sparse must lie in [1, {n_assets}], got {k_sparse}")
+        raise RangeError(f"k_sparse must lie in [1, {n_assets}], got {k_sparse}")
     if not 0 <= noise_scale < math.inf:
-        raise DataError(f"noise scale must be finite and non-negative, got {noise_scale}")
+        raise RangeError(f"noise scale must be finite and non-negative, got {noise_scale}")
     rng = np.random.default_rng(seed)
     returns = 0.01 * rng.standard_normal((n_days, n_assets))
     support = np.sort(rng.choice(n_assets, size=k_sparse, replace=False))

@@ -79,15 +79,8 @@ def portfolio_returns(weights, window: WindowSample | ReturnPanel) -> dc.Node:
     Row i is the weighted sum of asset log returns under weights[i]; this
     linear blend is the standard first-order portfolio approximation.
     """
-    weights = dc.as_node(weights)
-    if weights.value.ndim != 2:
-        raise dc.GraphError("weights must be a (population, assets) matrix")
     if window.returns.shape[0] < 2:
         raise dc.GraphError("window must contain at least two rows")
-    if weights.value.shape[1] != window.returns.shape[1]:
-        raise dc.GraphError(
-            f"weight columns {weights.value.shape[1]} do not match window assets {window.returns.shape[1]}"
-        )
     return dc.matmul(weights, dc.as_node(window.returns.T.copy()))
 
 

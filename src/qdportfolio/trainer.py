@@ -325,7 +325,7 @@ _CHECKPOINT_FIELDS = {
 
 def load_checkpoint(path: str | Path) -> dict:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"no such checkpoint: {path}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -574,10 +574,6 @@ def train_generator(
         raise DataError(
             f"config expects {config.generator.n_assets} assets, data has {data.train.n_assets}"
         )
-    if config.window > data.train.n_rows:
-        raise DataError(
-            f"window {config.window} exceeds training rows {data.train.n_rows}"
-        )
     kind = OptimizerKind(config.optimizer)
     if resume is None:
         start, best = _Snapshot.start(config), None
@@ -814,7 +810,9 @@ def save_run(artifacts: RunArtifacts, out_dir: str | Path) -> None:
         (e.iteration, e.report.ensemble_mse, e.report.mean_sub_mse, e.report.max_corr)
         for e in artifacts.evals
     ))
-    write_rows(out / TIMING_CSV, ["iteration", "seconds"], enumerate(artifacts.wall_clock, first))
+    write_rows(out / TIMING_CSV, ["iteration", "seconds"], (
+        (i, f"{s:.6f}") for i, s in enumerate(artifacts.wall_clock, first)  # fixed width: same size every run
+    ))
     save_checkpoint(artifacts.final_checkpoint, out / CHECKPOINT_FINAL)
     save_checkpoint(artifacts.best_checkpoint, out / CHECKPOINT_BEST)
 

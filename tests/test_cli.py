@@ -632,6 +632,13 @@ def _not_utf8(tmp, text):
     return str(path)
 
 
+def _directory(tmp, name):
+    """A directory where a file of that name belongs."""
+    path = tmp / "given" / name
+    path.mkdir(parents=True)
+    return str(path)
+
+
 def _rprop_checkpoint(ws, tmp):
     assert main(["compare", "--data", str(ws["prices"]), "--config", str(ws["config"]),
                  "--iterations", "2", "--out", str(tmp / "cmp")]) == 0
@@ -693,22 +700,24 @@ _DOCUMENTED_FAILURES = {
         1, "usage", "seed",
     ),
     "synth_sparse_0": (
-        lambda ws, tmp: ["synth", "--out", str(tmp / "out"), "--sparse", "0"], 1, "usage", "--sparse",
+        lambda ws, tmp: ["synth", "--out", str(tmp / "out"), "--sparse", "0"],
+        1, "usage", "k_sparse must lie in [1, 20], got 0",
     ),
     "synth_sparse_over_assets": (
         lambda ws, tmp: ["synth", "--out", str(tmp / "out"), "--assets", "20", "--sparse", "30"],
-        1, "usage", "--sparse",
+        1, "usage", "k_sparse must lie in [1, 20], got 30",
     ),
     "synth_days_1": (
-        lambda ws, tmp: ["synth", "--out", str(tmp / "out"), "--days", "1"], 1, "usage", "--days",
+        lambda ws, tmp: ["synth", "--out", str(tmp / "out"), "--days", "1"],
+        1, "usage", "n_days must be at least 2, got 1",
     ),
     "synth_negative_noise": (
         lambda ws, tmp: ["synth", "--out", str(tmp / "out"), "--noise-scale", "-1"],
-        1, "usage", "--noise-scale",
+        1, "usage", "noise scale must be finite and non-negative, got -1.0",
     ),
     "synth_nan_noise": (
         lambda ws, tmp: ["synth", "--out", str(tmp / "out"), "--noise-scale", "nan"],
-        1, "usage", "--noise-scale",
+        1, "usage", "noise scale must be finite and non-negative, got nan",
     ),
     "train_fraction_flag": (
         lambda ws, tmp: _train(ws, tmp, "--train-fraction", "2"), 1, "usage", "train_fraction",
@@ -722,9 +731,36 @@ _DOCUMENTED_FAILURES = {
         lambda ws, tmp: _train(ws, tmp, "--config", _config_file(tmp, "train_fraction=1.5\n")),
         1, "usage", "train_fraction",
     ),
+    "ingest_seed": (
+        lambda ws, tmp: ["ingest", "--data", str(ws["prices"]), "--out", str(tmp / "out"),
+                         "--seed", "1"],
+        1, "usage", "unrecognized arguments: --seed 1",
+    ),
+    "eval_seed_flag": (
+        lambda ws, tmp: ["eval", str(ws["run"] / "checkpoint.best"), "--data", str(ws["prices"]),
+                         "--out", str(tmp / "out"), "--seed", "1"],
+        1, "usage", "unrecognized arguments: --seed 1",
+    ),
+    "config_is_a_directory": (
+        lambda ws, tmp: _train(ws, tmp, "--config", _directory(tmp, "run.config")),
+        1, "usage", os.path.join("given", "run.config"),
+    ),
     "missing_csv": (
         lambda ws, tmp: ["train", "--data", str(tmp / "absent.csv"), "--out", str(tmp / "out")],
         2, "data", "no such file",
+    ),
+    "price_csv_is_a_directory": (
+        lambda ws, tmp: ["ingest", "--data", _directory(tmp, "prices.csv"), "--out", str(tmp / "out")],
+        2, "data", os.path.join("given", "prices.csv"),
+    ),
+    "checkpoint_is_a_directory": (
+        lambda ws, tmp: ["eval", _directory(tmp, "checkpoint.best"), "--data", str(ws["prices"]),
+                         "--out", str(tmp / "out")],
+        2, "data", os.path.join("given", "checkpoint.best"),
+    ),
+    "series_csv_is_a_directory": (
+        lambda ws, tmp: ["plot", "--data", _directory(tmp, "series.csv"), "--out", str(tmp / "out")],
+        2, "data", os.path.join("given", "series.csv"),
     ),
     "price_csv_not_utf8": (
         lambda ws, tmp: ["ingest", "--data", _not_utf8(tmp, "date,INDEX,A?\n2020-01-01,1.0,1.0\n"),

@@ -3,11 +3,12 @@ import base64
 import json
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -43,8 +44,8 @@ GEN = GeneratorConfig(
 )
 
 
-def make_data(seed=3):
-    panel, _ = synth_dataset(n_assets=5, n_days=60, k_sparse=2, noise_scale=0.001, seed=seed)
+def make_data(seed=3, n_assets=5):
+    panel, _ = synth_dataset(n_assets=n_assets, n_days=60, k_sparse=2, noise_scale=0.001, seed=seed)
     return time_split(panel, 0.8)
 
 
@@ -178,6 +179,30 @@ def test_resume_is_bit_identical_to_uninterrupted():
     assert canon(resumed.final_checkpoint) == canon(full.final_checkpoint)
     assert canon(resumed.best_checkpoint) == canon(full.best_checkpoint)
     assert [r.total for r in resumed.losses] == [r.total for r in full.losses[4:]]
+
+
+@settings(max_examples=15, deadline=None)
+@given(split=st.integers(1, 7), eval_every=st.integers(1, 3))
+def test_resume_at_any_split_point_is_bit_identical(split, eval_every):
+    data = make_data(seed=4, n_assets=6)
+    config = make_config(generator=replace(GEN, n_assets=6), iterations=8, eval_every=eval_every)
+    full = train_generator(config, data)
+    first = train_generator(replace(config, iterations=split), data)
+    resumed = train_generator(config, data, resume=first.final_checkpoint)
+    assert canon(resumed.final_checkpoint) == canon(full.final_checkpoint)
+    assert canon(resumed.best_checkpoint) == canon(full.best_checkpoint)
+
+
+@pytest.mark.xfail(strict=True, reason="a run validates its last iteration even off the cadence, "
+                   "and a run resumed from it keeps that validation as its best")
+def test_resume_off_the_cadence_keeps_the_uninterrupted_best():
+    config = make_config(iterations=8, eval_every=2, hyper=Hyper(learning_rate=0.3),
+                         generator=replace(GEN, n_assets=6))
+    data = make_data(seed=4, n_assets=6)
+    full = train_generator(config, data)
+    first = train_generator(replace(config, iterations=3), data)
+    resumed = train_generator(config, data, resume=first.final_checkpoint)
+    assert resumed.best_iteration == full.best_iteration == 2
 
 
 def test_resume_carries_a_best_it_never_beats():
@@ -451,6 +476,9 @@ def test_save_run_layout(tmp_path):
     assert len(eval_lines) == 4
     timing_lines = (tmp_path / "timing.csv").read_text().splitlines()
     assert timing_lines[0] == "iteration,seconds"
+    assert [line.split(",")[0] for line in timing_lines[1:]] == ["1", "2", "3"]
+    for line in timing_lines[1:]:  # a fixed width, whatever the clock read
+        assert re.fullmatch(r"\d+\.\d{6}", line.split(",")[1]), line
     reloaded = load_checkpoint(tmp_path / "checkpoint.final")
     assert canon(reloaded) == canon(run.final_checkpoint)
 
