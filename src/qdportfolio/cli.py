@@ -13,7 +13,7 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import MISSING, replace
+from dataclasses import MISSING
 from pathlib import Path
 
 import numpy as np
@@ -304,8 +304,11 @@ def _cmd_compare(args) -> int:
     flat = {**config_to_flat(config), "learning_rate": resolved["learning_rate"]}
     trainer.write_config(_with_data_keys(flat, resolved), out / trainer.RUN_CONFIG)
 
-    baseline_hyper = replace(config.hyper, learning_rate=_role_rate(resolved, BASELINE_HYPER))
-    result = trainer.compare_optimizers(config, split, baseline_hyper=baseline_hyper)
+    result = trainer.compare_optimizers(
+        config, split, baseline_rate=_role_rate(resolved, BASELINE_HYPER)
+    )
+    for art in result.artifacts.values():
+        art.config = _with_data_keys(art.config, resolved)
     trainer.save_comparison(result, out)
     top = result.rows[0]
     print(f"best={top.optimizer} mse={format_value(top.best_validation_mse)}")

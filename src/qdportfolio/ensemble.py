@@ -33,10 +33,9 @@ BAG_MODES = ("sparsify_rows", "sparsify_mean")
 
 @dataclass(frozen=True)
 class EnsemblePortfolio:
-    """Averaged portfolio weights plus how they were combined."""
+    """Averaged portfolio weights and the size of their support."""
 
     weights: np.ndarray
-    source: str
     support_size: int
 
 
@@ -84,7 +83,6 @@ def bag(population: Population, mode: str = "sparsify_rows") -> EnsemblePortfoli
         weights = population.weights.mean(axis=0)
     return EnsemblePortfolio(
         weights=weights,
-        source=f"{population.mode}:{mode}:{population.weights.shape[0]}",
         support_size=int(np.count_nonzero(weights)),
     )
 

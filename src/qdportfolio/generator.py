@@ -11,7 +11,6 @@ a constant within each one, so gradients never flow across iterations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -28,7 +27,7 @@ __all__ = [
     "init_params",
     "sample_noise",
     "forward",
-    "param_nodes",
+    "sparse_population",
     "sparsemax",
 ]
 
@@ -191,30 +190,6 @@ def sample_noise(config: GeneratorConfig, rng: np.random.Generator) -> np.ndarra
     return rng.standard_normal((config.population, config.noise_dim))
 
 
-def param_nodes(params: GeneratorParams) -> dict[str, dc.Node]:
-    return {name: dc.Node(arr, op=name) for name, arr in params.as_dict().items()}
-
-
-def _decode(pnodes: Mapping[str, dc.Node], state: GeneratorState, noise: np.ndarray):
-    """Shared graph construction from parameter nodes to logits."""
-    batch, _ = noise.shape
-    channels = pnodes["conv_w"].value.shape[0]
-    x = dc.as_node(noise)
-    conv = dc.conv1d_valid(x, pnodes["conv_w"])
-    conv = dc.add(conv, dc.reshape(pnodes["conv_b"], (1, channels, 1)))
-    feat = dc.reshape(dc.tanh(conv), (batch, -1))
-    h_new, c_new = dc.lstm_cell(
-        feat,
-        dc.as_node(state.h),
-        dc.as_node(state.c),
-        pnodes["lstm_wx"],
-        pnodes["lstm_wh"],
-        pnodes["lstm_b"],
-    )
-    logits = dc.add(dc.matmul(h_new, dc.transpose(pnodes["dense_w"])), pnodes["dense_b"])
-    return logits, h_new, c_new
-
-
 def forward(
     params: GeneratorParams,
     state: GeneratorState,
@@ -234,8 +209,20 @@ def forward(
         raise dc.GraphError(
             f"noise shape {noise.shape} does not match population size {batch}"
         )
-    pnodes = param_nodes(params)
-    logits, h_new, c_new = _decode(pnodes, state, noise)
+    pnodes = {name: dc.Node(arr, op=name) for name, arr in params.as_dict().items()}
+    channels = pnodes["conv_w"].value.shape[0]
+    conv = dc.conv1d_valid(dc.as_node(noise), pnodes["conv_w"])
+    conv = dc.add(conv, dc.reshape(pnodes["conv_b"], (1, channels, 1)))
+    feat = dc.reshape(dc.tanh(conv), (batch, -1))
+    h_new, c_new = dc.lstm_cell(
+        feat,
+        dc.as_node(state.h),
+        dc.as_node(state.c),
+        pnodes["lstm_wx"],
+        pnodes["lstm_wh"],
+        pnodes["lstm_b"],
+    )
+    logits = dc.add(dc.matmul(h_new, dc.transpose(pnodes["dense_w"])), pnodes["dense_b"])
     if mode == "train":
         weights_node = dc.softmax(logits)
         population = Population(
@@ -245,13 +232,15 @@ def forward(
             weights_node=weights_node,
         )
     else:
-        population = Population(
-            logits=logits.value,
-            weights=sparsemax(logits.value),
-            mode="eval",
-        )
+        population = sparse_population(logits.value)
     new_state = GeneratorState(h=h_new.value, c=c_new.value, iteration=state.iteration + 1)
     return ForwardResult(population=population, state=new_state, param_nodes=pnodes)
+
+
+def sparse_population(logits: np.ndarray) -> Population:
+    """The evaluation head: the sparsemax of each logit row (one row for a vector)."""
+    logits = np.atleast_2d(logits)
+    return Population(logits=logits, weights=sparsemax(logits), mode="eval")
 
 
 def sparsemax(z: np.ndarray) -> np.ndarray:

@@ -70,7 +70,6 @@ class TotalLossResult:
     report: LossReport
     param_nodes: dict[str, dc.Node]
     new_state: gen.GeneratorState
-    population: gen.Population
 
 
 def portfolio_returns(weights, window: WindowSample | ReturnPanel) -> dc.Node:
@@ -193,5 +192,4 @@ def total_loss(
         report=report,
         param_nodes=fwd.param_nodes,
         new_state=fwd.state,
-        population=fwd.population,
     )

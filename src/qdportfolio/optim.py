@@ -160,11 +160,8 @@ def step(
 
     # Extreme hyperparameters may overflow transiently; the finiteness
     # check below turns that into an OptimError instead of a warning.
-    old_err = np.seterr(over="ignore", invalid="ignore", divide="ignore")
-    try:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = _apply_rule(kind, params, grads, new.arrays, new.step, hyper)
-    finally:
-        np.seterr(**old_err)
 
     if not np.all(np.isfinite(out)):
         raise OptimError("update produced non-finite parameters")

@@ -481,7 +481,7 @@ def checkpoint_population(payload: dict, eval_seed: int | None) -> tuple[TrainCo
     config = config_from_flat(payload["config"])
     if kind == "baseline":
         logits = _unpack_as(payload["logits"], "logits", (config.generator.n_assets,))
-        return config, logits_population(logits)
+        return config, gen.sparse_population(logits)
     snapshot = _Snapshot.decode(payload, config)
     noise = snapshot.eval_noise
     if eval_seed is not None:
@@ -611,10 +611,12 @@ def train_generator(
         except (dc.NonFiniteError, OptimError) as e:
             raise TrainError(f"iteration {i}: {e}") from e
 
-    best_checkpoint = best.encode(config) if best is not None else None
+    # set by now: a resumed run starts from its best, and a fresh one validates its
+    # last iteration, whose finite MSE beats the initial inf
+    best_checkpoint = best.encode(config)
     final_checkpoint = snapshot(config.iterations).encode(config, best_checkpoint)
     return run.artifacts(
-        "proposed", final_checkpoint, best_checkpoint or final_checkpoint,
+        "proposed", final_checkpoint, best_checkpoint,
         evaluations_used=config.generator.population * config.iterations,
         start_iteration=start.iteration,
     )
@@ -640,12 +642,6 @@ def _baseline_payload(config: TrainConfig, kind: OptimizerKind, iteration: int,
     }
 
 
-def logits_population(logits: np.ndarray) -> gen.Population:
-    """The one-member population a baseline's logits stand for: their sparsemax."""
-    weights = gen.sparsemax(logits)
-    return gen.Population(logits=logits[None, :].copy(), weights=weights[None, :], mode="eval")
-
-
 def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) -> RunArtifacts:
     """Directly optimise one logits vector on the full training panel.
 
@@ -663,7 +659,7 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
     def record(i: int, logits: np.ndarray, mse: float, started: float) -> None:
         nonlocal best_logits
         loss = obj.LossReport(tracking_mse=mse, max_corr=0.0, total=mse, window_start=0)
-        if run.record(i, loss, lambda: logits_population(logits), started):
+        if run.record(i, loss, lambda: gen.sparse_population(logits), started):
             best_logits = logits.copy()
 
     if kind is OptimizerKind.CMAES:
@@ -685,7 +681,6 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
             iterations=config.iterations,
             seed=seed,
             sigma0=config.hyper.cmaes_sigma0,
-            x0=np.zeros(n),
         )
         for g in result.generations:  # timed as the generation's own work plus its validation
             record(g.generation, g.best_x, g.best_f, time.monotonic() - g.seconds)
@@ -723,14 +718,15 @@ def compare_optimizers(
     config: TrainConfig,
     data: SplitPanels,
     kinds: tuple[OptimizerKind, ...] | list[OptimizerKind] = GRADIENT_KINDS + (OptimizerKind.CMAES,),
-    baseline_hyper: Hyper = BASELINE_HYPER,
+    baseline_rate: float = BASELINE_HYPER.learning_rate,
 ) -> ComparisonResult:
     """Run every requested baseline plus the proposed method.
 
     Each run gets its own seed derived from the master seed and its task
-    index.  A failed run is
-    recorded as failed with its error message, never dropped.  Rows are
-    sorted by best validation MSE, failures last.
+    index.  The baselines run at `config.hyper` with `baseline_rate` as
+    their learning rate.  A failed run is recorded as failed with its error
+    message, never dropped.  Rows are sorted by best validation MSE,
+    failures last.
     """
     ordered = list(dict.fromkeys(OptimizerKind(kind) for kind in kinds))
     rows: list[ComparisonRow] = []
@@ -745,7 +741,7 @@ def compare_optimizers(
                 baseline_config = replace(
                     config,
                     seed=run_seed,
-                    hyper=baseline_hyper,
+                    hyper=replace(config.hyper, learning_rate=baseline_rate),
                     optimizer=OptimizerKind.ADAMW if kind is OptimizerKind.CMAES else kind,
                 )
                 art = train_baseline(kind, baseline_config, data)

@@ -342,6 +342,23 @@ def test_compare_run_config_replays_the_table(workspace, tmp_path, capsys):
     assert (replay / "table.csv").read_bytes() == (out / "table.csv").read_bytes()
 
 
+def test_compare_per_run_config_replays_its_row(workspace, tmp_path, capsys):
+    out, replay = tmp_path / "cmp", tmp_path / "replay"
+    assert main(["compare", "--data", str(workspace["prices"]),
+                 "--config", str(workspace["config"]), "--out", str(out),
+                 "--iterations", "2", "--train-fraction", "0.7"]) == 0
+    run_configs = sorted((out / "runs").glob("*/run.config"))
+    assert len(run_configs) == 11
+    for run_config in run_configs:
+        written = read_config_lines(run_config)
+        assert (written["train_fraction"], written["index_column"]) == ("0.7", "INDEX")
+    assert main(["train", "--data", str(workspace["prices"]), "--out", str(replay),
+                 "--config", str(out / "runs" / "proposed" / "run.config")]) == 0
+    printed = capsys.readouterr().out.splitlines()[-1]
+    table = {row["optimizer"]: row for row in csv.DictReader((out / "table.csv").read_text().splitlines())}
+    assert printed.startswith(f"best_validation_mse={table['proposed']['best_validation_mse']} ")
+
+
 # ----------------------------------------------------------------------
 # exit codes
 

@@ -3,6 +3,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qdportfolio import diffcore as dc
 from qdportfolio.generator import (
@@ -14,6 +17,7 @@ from qdportfolio.generator import (
     init_params,
     param_shapes,
     sample_noise,
+    sparse_population,
     sparsemax,
 )
 
@@ -140,6 +144,47 @@ def test_sparsemax_rows_and_invariants():
         assert np.all(np.diff(row_w[order]) >= -1e-15)
     with pytest.raises(ValueError):
         sparsemax(np.array([1.0, np.nan]))
+
+
+def logit_rows(elements):
+    return hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                      elements=elements)
+
+
+BOUNDED = st.floats(-1e6, 1e6)
+# multiples of 1/1024: sums and differences below 2**20 stay exact
+GRID = st.integers(-(2**28), 2**28).map(lambda k: k / 1024)
+
+
+@settings(max_examples=150, deadline=None)
+@given(z=logit_rows(BOUNDED))
+def test_sparsemax_rows_lie_on_the_simplex(z):
+    w = sparsemax(z)
+    assert w.shape == z.shape
+    assert w.min() >= 0.0
+    np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(z=logit_rows(GRID), shift=st.integers(-(2**18), 2**18))
+def test_sparsemax_is_exactly_shift_invariant(z, shift):
+    np.testing.assert_array_equal(sparsemax(z + shift), sparsemax(z))
+
+
+@settings(max_examples=150, deadline=None)
+@given(z=logit_rows(BOUNDED))
+def test_sparsemax_preserves_order(z):
+    w = sparsemax(z)
+    order = np.argsort(z, axis=1, kind="stable")
+    assert np.all(np.diff(np.take_along_axis(w, order, axis=1), axis=1) >= 0.0)
+
+
+def test_sparse_population_of_a_vector_is_one_row():
+    logits = np.array([0.5, -1.25, 2.0, 0.0])
+    pop = sparse_population(logits)
+    assert pop.mode == "eval" and pop.weights_node is None
+    np.testing.assert_array_equal(pop.logits, logits[None, :])
+    np.testing.assert_array_equal(pop.weights, sparsemax(logits)[None, :])
 
 
 def test_forward_train_mode_softmax_rows():

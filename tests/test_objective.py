@@ -1,14 +1,19 @@
 """Training objective: tracking error, diversity penalty, weight corruption."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qdportfolio import diffcore as dc
 from qdportfolio.generator import (
+    PARAM_ORDER,
     GeneratorConfig,
     GeneratorParams,
     GeneratorState,
     init_params,
     sample_noise,
+    sparsemax,
 )
 from qdportfolio.marketdata import sample_window, synth_dataset
 from qdportfolio.objective import (
@@ -121,6 +126,23 @@ def test_corrupt_stays_on_simplex():
     assert out.value.min() >= 0.0
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    logits=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                      elements=st.floats(-1e6, 1e6)),
+    p_zero=st.floats(0.0, 1.0),
+    noise_sigma=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_corrupt_stays_on_simplex_for_any_knobs(logits, p_zero, noise_sigma, seed):
+    weights = sparsemax(logits)
+    config = LossConfig(p_zero=p_zero, noise_sigma=noise_sigma)
+    out = corrupt(dc.as_node(weights), config, np.random.default_rng(seed)).value
+    assert out.shape == weights.shape
+    assert out.min() >= 0.0
+    np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
+
+
 def test_corrupt_identity_when_disabled_knobs_are_zero():
     rng = np.random.default_rng(0)
     weights = np.random.default_rng(2).dirichlet(np.ones(5), size=4)
@@ -192,7 +214,7 @@ def test_total_loss_reports_window_start():
     )
     assert result.report.window_start == window.start
     assert result.new_state.iteration == 1
-    assert result.population.mode == "train"
+    assert list(result.param_nodes) == list(PARAM_ORDER)
 
 
 def test_total_loss_gradients_match_finite_differences():

@@ -17,7 +17,7 @@ from qdportfolio import trainer
 from qdportfolio.generator import GeneratorConfig
 from qdportfolio.marketdata import DataError, synth_dataset, time_split
 from qdportfolio.objective import LossConfig
-from qdportfolio.optim import GRADIENT_KINDS, Hyper, OptimizerKind
+from qdportfolio.optim import GENERATOR_HYPER, GRADIENT_KINDS, Hyper, OptimizerKind
 from qdportfolio.trainer import (
     CHECKPOINT_VERSION,
     ComparisonRow,
@@ -421,6 +421,15 @@ def test_compare_schema_and_determinism():
     # per-task seeds are derived, not positional accidents
     again = compare_optimizers(config, data)
     assert result.rows == again.rows
+
+
+def test_compare_runs_baselines_at_the_config_hyper_with_the_baseline_rate():
+    config = make_config(iterations=2, hyper=replace(GENERATOR_HYPER, beta1=0.5))
+    result = compare_optimizers(config, make_data(), kinds=[OptimizerKind.ADAM])
+    assert set(result.artifacts) == {"adam", "proposed"}
+    for label, art in result.artifacts.items():
+        assert art.config["beta1"] == 0.5
+        assert art.config["learning_rate"] == (0.01 if label == "proposed" else 0.1)
 
 
 def test_compare_records_failures(monkeypatch):
