@@ -6,6 +6,12 @@ forward value, its parent nodes and a closed-form vector-Jacobian rule.
 `backward` differentiates once from a scalar root; `grad_check` verifies
 any scalar graph against central finite differences.
 
+Only what a gradient needs is differentiated.  A constant made by
+`as_node` gets no gradient, nor does any node computed from constants
+alone: `backward` skips those nodes and leaves their `grad` at None, and
+`matmul`, `mul` and `conv1d_valid` do no work for such an operand.  The
+LSTM cell is one node with a closed-form rule for all six inputs.
+
 Every primitive checks its output for finiteness and raises
 `NonFiniteError` carrying the primitive name, so a failure can be located
 without inspecting the graph.
@@ -80,10 +86,12 @@ class Node:
     `value` is always float64; `grad` is populated by `backward`.  `tie`
     marks a point where the local rule is a subgradient choice (a tied
     max, or a variance-guarded correlation); `grad_check` rejects graphs
-    containing such nodes.
+    containing such nodes.  `needs` is True for a leaf other than an
+    `as_node` constant, and for a node with at least one parent that needs
+    a gradient.
     """
 
-    __slots__ = ("value", "parents", "op", "grad", "_vjp", "tie")
+    __slots__ = ("value", "parents", "op", "grad", "_vjp", "tie", "needs")
 
     def __init__(
         self,
@@ -94,7 +102,7 @@ class Node:
         tie: bool = False,
     ):
         arr = np.asarray(value, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError(op)
         self.value = arr
         self.parents = parents
@@ -102,6 +110,7 @@ class Node:
         self.grad: np.ndarray | None = None
         self._vjp = vjp
         self.tie = tie
+        self.needs = not parents or any(p.needs for p in parents)
 
     @property
     def shape(self) -> tuple:
@@ -142,10 +151,12 @@ class Node:
 
 
 def as_node(value) -> Node:
-    """Wrap a scalar or array as a leaf node (no-op on nodes)."""
+    """Wrap a scalar or array as a constant leaf (no-op on nodes)."""
     if isinstance(value, Node):
         return value
-    return Node(value, op="const")
+    node = Node(value, op="const")
+    node.needs = False
+    return node
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -185,8 +196,8 @@ def mul(a, b) -> Node:
 
     def vjp(g):
         return (
-            _unbroadcast(g * b.value, a.value.shape),
-            _unbroadcast(g * a.value, b.value.shape),
+            _unbroadcast(g * b.value, a.value.shape) if a.needs else None,
+            _unbroadcast(g * a.value, b.value.shape) if b.needs else None,
         )
 
     return Node(val, (a, b), "mul", vjp)
@@ -211,18 +222,20 @@ def neg(a) -> Node:
     return Node(-a.value, (a,), "neg", lambda g: (-g,))
 
 
+def _matmul_shapes(a: np.ndarray, b: np.ndarray) -> None:
+    if a.ndim != 2 or b.ndim != 2:
+        raise GraphError("matmul expects two rank-2 operands")
+    if a.shape[1] != b.shape[0]:
+        raise GraphError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
+
+
 def matmul(a, b) -> Node:
     a, b = as_node(a), as_node(b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise GraphError("matmul expects two rank-2 operands")
-    if a.value.shape[1] != b.value.shape[0]:
-        raise GraphError(
-            f"matmul inner dimensions differ: {a.value.shape} vs {b.value.shape}"
-        )
+    _matmul_shapes(a.value, b.value)
     val = a.value @ b.value
 
     def vjp(g):
-        return g @ b.value.T, a.value.T @ g
+        return g @ b.value.T if a.needs else None, a.value.T @ g if b.needs else None
 
     return Node(val, (a, b), "matmul", vjp)
 
@@ -240,12 +253,15 @@ def tanh(a) -> Node:
     return Node(y, (a,), "tanh", lambda g: (g * (1.0 - y * y),))
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # Split by sign for stability: exp only ever sees non-positive arguments.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(a) -> Node:
     a = as_node(a)
-    # Split by sign for stability: exp only ever sees non-positive arguments.
-    x = a.value
-    e = np.exp(-np.abs(x))
-    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    y = _sigmoid(a.value)
     return Node(y, (a,), "sigmoid", lambda g: (g * y * (1.0 - y),))
 
 
@@ -391,7 +407,9 @@ def conv1d_valid(x, w) -> Node:
     val = np.einsum("blk,ck->bcl", windows, w.value)
 
     def vjp(g):
-        dw = np.einsum("bcl,blk->ck", g, windows)
+        dw = np.einsum("bcl,blk->ck", g, windows) if w.needs else None
+        if not x.needs:
+            return None, dw
         spread = np.einsum("bcl,cj->blj", g, w.value)  # (B, L, k)
         dx = np.zeros_like(x.value)
         for j in range(k):
@@ -469,21 +487,50 @@ def vector_max(a) -> Node:
 
 
 def lstm_cell(x, h, c, w_x, w_h, b) -> tuple[Node, Node]:
-    """One LSTM step composed from the primitives above.
+    """One LSTM step: a single node valued [h_new, c_new], returned as two slices.
 
     Gate layout along the 4H axis is (input, forget, cell, output); the
     forget gate therefore lives in rows [H, 2H) of the weights and bias.
+    The forward pass and the vector-Jacobian rule make the same float
+    operations, in the same order, as the cell composed from `matmul`,
+    `transpose`, `add`, `slice_last`, `sigmoid`, `tanh` and `mul`, so the
+    values and gradients are bit-identical to that graph's.
     """
-    x, h, c = as_node(x), as_node(h), as_node(c)
+    x, h, c, w_x, w_h, b = (as_node(n) for n in (x, h, c, w_x, w_h, b))
     hidden = h.value.shape[1]
-    pre = add(add(matmul(x, transpose(w_x)), matmul(h, transpose(w_h))), b)
-    gi = sigmoid(slice_last(pre, 0, hidden))
-    gf = sigmoid(slice_last(pre, hidden, 2 * hidden))
-    gc = tanh(slice_last(pre, 2 * hidden, 3 * hidden))
-    go = sigmoid(slice_last(pre, 3 * hidden, 4 * hidden))
-    c_new = add(mul(gf, c), mul(gi, gc))
-    h_new = mul(go, tanh(c_new))
-    return h_new, c_new
+    _matmul_shapes(x.value, w_x.value.T)
+    _matmul_shapes(h.value, w_h.value.T)
+    pre = x.value @ w_x.value.T + h.value @ w_h.value.T + b.value
+    if pre.shape[-1] != 4 * hidden:
+        raise GraphError(f"lstm_cell expects {4 * hidden} gate rows, got {pre.shape[-1]}")
+    if not np.isfinite(pre).all():  # the gates would saturate an overflow away
+        raise NonFiniteError("lstm_cell")
+    gates = [pre[..., k * hidden : (k + 1) * hidden] for k in range(4)]
+    gi, gf, go = _sigmoid(gates[0]), _sigmoid(gates[1]), _sigmoid(gates[3])
+    gc = np.tanh(gates[2])
+    c_new = gf * c.value + gi * gc
+    tc = np.tanh(c_new)
+
+    def vjp(g):
+        dh, dc_out = g[..., :hidden], g[..., hidden:]
+        dc_new = dc_out + (dh * go) * (1.0 - tc * tc)
+        dpre = np.zeros_like(pre)  # += on zeros, as the four slice rules accumulate
+        dpre[..., :hidden] += (dc_new * gc * gi) * (1.0 - gi)
+        dpre[..., hidden : 2 * hidden] += (dc_new * c.value * gf) * (1.0 - gf)
+        dpre[..., 2 * hidden : 3 * hidden] += dc_new * gi * (1.0 - gc * gc)
+        dpre[..., 3 * hidden :] += (dh * tc * go) * (1.0 - go)
+        return (
+            dpre @ w_x.value if x.needs else None,
+            dpre @ w_h.value if h.needs else None,
+            dc_new * gf if c.needs else None,
+            (x.value.T @ dpre).T if w_x.needs else None,
+            (h.value.T @ dpre).T if w_h.needs else None,
+            _unbroadcast(dpre, b.value.shape) if b.needs else None,
+        )
+
+    value = np.concatenate([go * tc, c_new], axis=-1)
+    cell = Node(value, (x, h, c, w_x, w_h, b), "lstm_cell", vjp)
+    return slice_last(cell, 0, hidden), slice_last(cell, hidden, 2 * hidden)
 
 
 def _topological(root: Node) -> list[Node]:
@@ -506,19 +553,21 @@ def _topological(root: Node) -> list[Node]:
 
 
 def backward(root: Node) -> dict[Node, np.ndarray]:
-    """Accumulate gradients of a scalar root into every reachable node.
+    """Accumulate gradients of a scalar root into every node that needs one.
 
-    Returns a map from node to gradient; leaves read their own `.grad`.
+    Returns a map from node to gradient: the root and each node with
+    `needs` that the root depends on.  Leaves read their own `.grad`.
     """
     if root.value.shape != ():
         raise GraphError("backward requires a scalar root")
     order = _topological(root)
     root.grad = np.ones((), dtype=np.float64)
     for node in reversed(order):
-        if node._vjp is None or node.grad is None:
+        if node._vjp is None or not node.needs or node.grad is None:
             continue
         for parent, g in zip(node.parents, node._vjp(node.grad)):
-            parent.grad = g if parent.grad is None else parent.grad + g
+            if parent.needs:
+                parent.grad = g if parent.grad is None else parent.grad + g
     return {n: n.grad for n in order if n.grad is not None}
 
 

@@ -703,12 +703,14 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
                 raise TrainError(f"iteration {i}: {e}") from e
         evaluations_used = config.iterations
 
-    return run.artifacts(
+    art = run.artifacts(
         kind.value,
         _baseline_payload(config, kind, config.iterations, logits, run, best_logits),
         _baseline_payload(config, kind, run.best_iteration, best_logits, run, best_logits),
         evaluations_used=evaluations_used,
     )
+    art.config["optimizer"] = kind.value  # a CMA-ES config holds a gradient rule in its place
+    return art
 
 
 # --------------------------------------------------------------------------

@@ -359,6 +359,25 @@ def test_compare_per_run_config_replays_its_row(workspace, tmp_path, capsys):
     assert printed.startswith(f"best_validation_mse={table['proposed']['best_validation_mse']} ")
 
 
+def test_compare_cmaes_run_config_names_cmaes(workspace, tmp_path, capsys):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--data", str(workspace["prices"]),
+                 "--config", str(workspace["config"]), "--out", str(out),
+                 "--iterations", "2"]) == 0
+    run_dir = out / "runs" / "cmaes"
+    assert read_config_lines(run_dir / "run.config")["optimizer"] == "cmaes"
+    # the checkpoint keeps the config its evaluation decodes
+    payload = json.loads((run_dir / "checkpoint.best").read_text())
+    assert (payload["optimizer"], payload["config"]["optimizer"]) == ("cmaes", "adamw")
+    assert main(["eval", str(run_dir / "checkpoint.best"), "--data", str(workspace["prices"]),
+                 "--out", str(tmp_path / "ev")]) == 0
+    capsys.readouterr()
+    assert main(["train", "--data", str(workspace["prices"]), "--out", str(tmp_path / "r"),
+                 "--config", str(run_dir / "run.config")]) == 1
+    assert "not cmaes" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 # ----------------------------------------------------------------------
 # exit codes
 

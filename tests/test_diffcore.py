@@ -262,3 +262,134 @@ def test_lstm_cell_against_manual_oracle(seed):
 def test_grad_check_reports_max_relative_error():
     err = dc.grad_check(lambda p: dc.sum_all(dc.square(p)), np.array([1.0, -2.0, 3.0]))
     assert err < 1e-9
+
+
+# --------------------------------------------------------------------------
+# the fused LSTM cell against the graph composed from primitives
+
+def composed_lstm_cell(x, h, c, w_x, w_h, b):
+    """The 19-node cell that `lstm_cell` fuses, built from the primitives."""
+    hidden = h.value.shape[1]
+    pre = dc.add(dc.add(dc.matmul(x, dc.transpose(w_x)), dc.matmul(h, dc.transpose(w_h))), b)
+    gi = dc.sigmoid(dc.slice_last(pre, 0, hidden))
+    gf = dc.sigmoid(dc.slice_last(pre, hidden, 2 * hidden))
+    gc = dc.tanh(dc.slice_last(pre, 2 * hidden, 3 * hidden))
+    go = dc.sigmoid(dc.slice_last(pre, 3 * hidden, 4 * hidden))
+    c_new = dc.add(dc.mul(gf, c), dc.mul(gi, gc))
+    h_new = dc.mul(go, dc.tanh(c_new))
+    return h_new, c_new
+
+
+@pytest.mark.parametrize("sizes", [(3, 4, 5), (64, 112, 64)])
+@pytest.mark.parametrize("state_leaves", [False, True])
+@pytest.mark.parametrize("reads_c", [False, True])
+def test_fused_lstm_cell_is_bit_identical_to_the_composed_graph(sizes, state_leaves, reads_c):
+    batch, nin, hidden = sizes
+    rng = np.random.default_rng(sum(sizes))
+    arrays = [
+        rng.standard_normal((batch, nin)),
+        rng.standard_normal((batch, hidden)),
+        rng.standard_normal((batch, hidden)),
+        0.3 * rng.standard_normal((4 * hidden, nin)),
+        0.3 * rng.standard_normal((4 * hidden, hidden)),
+        rng.standard_normal(4 * hidden),
+    ]
+    dense = rng.standard_normal((hidden, 3))
+    r_c = rng.standard_normal((batch, hidden))
+
+    def run(cell):
+        x, h, c, w_x, w_h, b = (
+            dc.as_node(a) if k in (1, 2) and not state_leaves else dc.Node(a, op="leaf")
+            for k, a in enumerate(arrays)
+        )
+        # two steps, the second fed the first's state, as in a generator's training graph
+        h1, c1 = cell(dc.tanh(x), h, c, w_x, w_h, b)
+        h2, c2 = cell(dc.tanh(x), h1, c1, w_x, w_h, b)
+        loss = dc.mean_all(dc.square(dc.matmul(h2, dc.as_node(dense))))
+        if reads_c:
+            loss = dc.add(loss, dc.sum_all(dc.mul(c2, dc.as_node(r_c))))
+        dc.backward(loss)
+        return [h2.value, c2.value], [node.grad for node in (x, h, c, w_x, w_h, b)]
+
+    fused_values, fused_grads = run(dc.lstm_cell)
+    composed_values, composed_grads = run(composed_lstm_cell)
+    for fused, composed in zip(fused_values, composed_values):
+        np.testing.assert_array_equal(fused, composed)
+    for k, (fused, composed) in enumerate(zip(fused_grads, composed_grads)):
+        if k in (1, 2) and not state_leaves:
+            assert fused is None and composed is None
+        else:
+            np.testing.assert_array_equal(fused, composed)
+
+
+def test_lstm_cell_is_one_node_and_two_slices():
+    rng = np.random.default_rng(5)
+    h_new, c_new = dc.lstm_cell(
+        dc.Node(rng.standard_normal((2, 3))), dc.as_node(np.zeros((2, 4))), dc.as_node(np.zeros((2, 4))),
+        dc.Node(rng.standard_normal((16, 3))), dc.Node(rng.standard_normal((16, 4))),
+        dc.Node(rng.standard_normal(16)),
+    )
+    assert h_new.op == c_new.op == "slice_last"
+    (cell,), (other,) = h_new.parents, c_new.parents
+    assert cell is other and cell.op == "lstm_cell"
+    assert all(p.op in ("leaf", "const") for p in cell.parents)
+
+
+@pytest.mark.parametrize("h", [0.0, 1e200])
+def test_non_finite_lstm_cell_is_named(h):
+    # x @ w_x.T overflows; with h, h @ w_h.T overflows the other way and the sum is nan.
+    # Saturated gates would hide a bare overflow, which the composed cell's matmul caught.
+    big = np.full((4, 4), 1e200)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(dc.NonFiniteError) as exc:
+        dc.lstm_cell(dc.Node(big[:1]), dc.as_node(np.full((1, 1), h)), dc.as_node(np.zeros((1, 1))),
+                     dc.Node(big), dc.Node(-big[:, :1]), dc.Node(np.zeros(4)))
+    assert exc.value.op == "lstm_cell"
+
+
+# --------------------------------------------------------------------------
+# gradients only where a parameter needs them
+
+_OPERANDS = {
+    "matmul": ((3, 4), (4, 2)),
+    "mul": ((3, 4), (3, 4)),
+    "conv1d_valid": ((2, 6), (3, 2)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_OPERANDS))
+@pytest.mark.parametrize("constant", [0, 1])
+def test_constant_operand_gets_no_gradient(op, constant):
+    rng = np.random.default_rng(90)
+    arrays = [rng.standard_normal(shape) for shape in _OPERANDS[op]]
+
+    def run(const_is_leaf):
+        operands = [
+            dc.Node(a, op="leaf") if k != constant or const_is_leaf else dc.as_node(a)
+            for k, a in enumerate(arrays)
+        ]
+        return operands, dc.backward(dc.sum_all(dc.square(getattr(dc, op)(*operands))))
+
+    (pruned, grads), (full, full_grads) = run(False), run(True)
+    assert not pruned[constant].needs
+    assert pruned[constant].grad is None
+    assert pruned[constant] not in grads
+    assert len(grads) == len(full_grads) - 1
+    np.testing.assert_array_equal(pruned[1 - constant].grad, full[1 - constant].grad)
+
+
+def test_graph_of_constants_returns_only_the_root():
+    rng = np.random.default_rng(91)
+    a, b = dc.as_node(rng.standard_normal((3, 4))), dc.as_node(rng.standard_normal((4, 2)))
+    root = dc.sum_all(dc.tanh(dc.matmul(a, b)))
+    assert not root.needs
+    assert dc.backward(root) == {root: root.grad}
+    assert root.grad == 1.0
+    assert a.grad is None and b.grad is None
+
+
+def test_needs_follows_the_parents():
+    leaf, const = dc.Node(np.ones(2)), dc.as_node(np.ones(2))
+    assert leaf.needs and not const.needs
+    assert dc.add(leaf, const).needs
+    assert not dc.add(const, const).needs
+    assert dc.as_node(leaf) is leaf

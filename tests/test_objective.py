@@ -247,3 +247,31 @@ def test_total_loss_gradients_match_finite_differences():
         numeric[i] = (up - down) / (2 * step)
     rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
     assert rel.max() < 1e-6
+
+
+def test_pruned_training_graph_keeps_every_parameter_gradient(monkeypatch):
+    """Constants skipped by `backward` change no bit of any parameter's gradient."""
+    config = GeneratorConfig(n_assets=12, seed=3)
+    params = init_params(config)
+    state = GeneratorState(
+        h=np.random.default_rng(4).normal(size=(config.population, config.lstm_hidden)),
+        c=np.random.default_rng(5).normal(size=(config.population, config.lstm_hidden)),
+    )
+    noise = sample_noise(config, np.random.default_rng(6))
+    window = make_window(n_assets=12, n_days=120, length=60)
+
+    def gradients():
+        result = total_loss(params, state, noise, window, LossConfig(), np.random.default_rng(7))
+        nodes = dc.backward(result.loss)
+        return nodes, [result.param_nodes[name].grad for name in PARAM_ORDER]
+
+    pruned_nodes, pruned = gradients()
+    assert all(node.needs for node in pruned_nodes)
+    # every constant built as a leaf that needs a gradient: nothing is pruned
+    monkeypatch.setattr(
+        dc, "as_node", lambda v: v if isinstance(v, dc.Node) else dc.Node(v, op="const")
+    )
+    full_nodes, full = gradients()
+    assert len(pruned_nodes) < len(full_nodes)
+    for name, kept, reference in zip(PARAM_ORDER, pruned, full):
+        np.testing.assert_array_equal(kept, reference, err_msg=name)

@@ -423,6 +423,30 @@ def test_compare_schema_and_determinism():
     assert result.rows == again.rows
 
 
+def test_repeated_runs_in_one_process_are_bit_identical(tmp_path):
+    data = make_data()
+    config = make_config(iterations=4, eval_every=2)
+
+    def outputs(label):
+        runs = {"generator": train_generator(config, data)}
+        runs.update(compare_optimizers(config, data).artifacts)
+        files = {}
+        for name, art in runs.items():
+            for kind, payload in (("best", art.best_checkpoint), ("final", art.final_checkpoint)):
+                path = tmp_path / label / f"{name}.{kind}"
+                save_checkpoint(payload, path)
+                files[path.name] = path.read_bytes()
+            files[f"{name}.losses"] = [(r.tracking_mse, r.max_corr, r.total) for r in art.losses]
+            files[f"{name}.evals"] = [
+                (e.iteration, e.report.ensemble_mse, e.report.mean_sub_mse) for e in art.evals
+            ]
+        return files
+
+    first, second = outputs("first"), outputs("second")
+    assert len(first) == 12 * 4
+    assert first == second
+
+
 def test_compare_runs_baselines_at_the_config_hyper_with_the_baseline_rate():
     config = make_config(iterations=2, hyper=replace(GENERATOR_HYPER, beta1=0.5))
     result = compare_optimizers(config, make_data(), kinds=[OptimizerKind.ADAM])
