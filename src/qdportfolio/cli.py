@@ -44,6 +44,8 @@ WEIGHTS_CSV = "weights.csv"
 INDEX_COLOR = "#d62728"
 ENSEMBLE_COLOR = "#1f77b4"
 SUB_COLOR = "#b0b0b0"
+SVG_WIDTH = 900
+SVG_HEIGHT = 480
 
 
 class UsageError(Exception):
@@ -315,7 +317,7 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def render_svg(names: list[str], series: list[np.ndarray], width: int = 900, height: int = 480) -> str:
+def render_svg(names: list[str], series: list[np.ndarray]) -> str:
     """Line chart of cumulative sums; self-contained SVG, no external refs."""
     if not names or len(names) != len(series):
         raise UsageError("plot needs one name per series")
@@ -323,12 +325,15 @@ def render_svg(names: list[str], series: list[np.ndarray], width: int = 900, hei
     if length < 2 or any(len(s) != length for s in series):
         raise DataError("plot needs at least two rows of equal-length series")
     cumulative = [np.cumsum(np.asarray(s, dtype=np.float64)) for s in series]
+    for name, c in zip(names, cumulative):
+        if not np.isfinite(c).all():
+            raise DataError(f"series {name!r} has a non-finite cumulative sum")
     lo = min(float(c.min()) for c in cumulative)
     hi = max(float(c.max()) for c in cumulative)
     span = hi - lo if hi > lo else 1.0
     margin = 40.0
-    plot_w = width - 2 * margin
-    plot_h = height - 2 * margin
+    plot_w = SVG_WIDTH - 2 * margin
+    plot_h = SVG_HEIGHT - 2 * margin
 
     def sx(t: int) -> float:
         return margin + plot_w * t / (length - 1)
@@ -346,9 +351,9 @@ def render_svg(names: list[str], series: list[np.ndarray], width: int = 900, hei
     # draw the highlighted pair last so they sit on top of the gray lines
     order = sorted(range(len(names)), key=lambda i: (names[i] in ("index", "ensemble"), names[i]))
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<rect x="0" y="0" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
         f'<rect x="{margin}" y="{margin}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333333" stroke-width="1"/>',
     ]
@@ -409,7 +414,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a command is required (ingest, synth, train, eval, compare, plot)")
-        return _COMMANDS[args.command](args)
+        # a non-finite result is reported once, by the error line below, not also as a warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[args.command](args)
     except (UsageError, RangeError) as e:  # a RangeError is a DataError too, so it is caught first
         print(f"error: usage: {e}", file=sys.stderr)
         return 1

@@ -112,42 +112,8 @@ class Node:
         self.tie = tie
         self.needs = not parents or any(p.needs for p in parents)
 
-    @property
-    def shape(self) -> tuple:
-        return self.value.shape
-
     def __repr__(self) -> str:
         return f"Node(op={self.op!r}, shape={self.value.shape})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_node(value) -> Node:

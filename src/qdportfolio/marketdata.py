@@ -131,7 +131,6 @@ class SplitPanels:
 
     train: ReturnPanel
     validation: ReturnPanel
-    split_index: int
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,6 @@ class WindowSample:
     """A contiguous slice of a return panel used as one training window."""
 
     start: int
-    length: int
     returns: np.ndarray        # (W, N)
     index_returns: np.ndarray  # (W,)
 
@@ -267,17 +265,13 @@ def compute_log_returns(table: PriceTable) -> ReturnPanel:
     )
 
 
-def panel_to_prices(
-    panel: ReturnPanel, index_name: str = "INDEX", base_price: float = 100.0
-) -> PriceTable:
-    """Integrate log returns into a price table starting at `base_price`.
+def panel_to_prices(panel: ReturnPanel, index_name: str) -> PriceTable:
+    """Integrate log returns into a price table whose first row is 100.
 
     The synthetic first price row is dated one day before the first return.
     """
-    if base_price <= 0:
-        raise DataError("base price must be positive")
-    prices = base_price * np.exp(np.vstack([np.zeros(panel.n_assets), np.cumsum(panel.returns, axis=0)]))
-    index_prices = base_price * np.exp(np.concatenate([[0.0], np.cumsum(panel.index_returns)]))
+    prices = 100.0 * np.exp(np.vstack([np.zeros(panel.n_assets), np.cumsum(panel.returns, axis=0)]))
+    index_prices = 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(panel.index_returns)]))
     dates = (panel.dates[0] - timedelta(days=1),) + panel.dates
     return PriceTable(
         dates=dates,
@@ -300,7 +294,6 @@ def time_split(panel: ReturnPanel, fraction: float) -> SplitPanels:
     return SplitPanels(
         train=panel.slice_rows(0, n_train),
         validation=panel.slice_rows(n_train, panel.n_rows),
-        split_index=n_train,
     )
 
 
@@ -315,7 +308,6 @@ def sample_window(panel: ReturnPanel, length: int, rng: np.random.Generator) -> 
     start = int(rng.integers(0, panel.n_rows - length + 1))
     return WindowSample(
         start=start,
-        length=length,
         returns=panel.returns[start : start + length],
         index_returns=panel.index_returns[start : start + length],
     )

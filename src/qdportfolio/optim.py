@@ -263,7 +263,6 @@ class CmaesGeneration:
     generation: int
     best_f: float
     best_x: np.ndarray
-    mean: np.ndarray
     sigma: float
     min_eigenvalue: float
     seconds: float  # wall clock of this generation
@@ -284,7 +283,6 @@ def cmaes_run(
     iterations: int,
     seed: int,
     sigma0: float = 0.3,
-    x0: np.ndarray | None = None,
 ) -> CmaesResult:
     """Full covariance-matrix-adaptation evolution strategy.
 
@@ -317,9 +315,7 @@ def cmaes_run(
     c_mu = min(1 - c_1, 2 * (mueff - 2 + 1 / mueff) / ((n + 2) ** 2 + mueff))
     chi_n = np.sqrt(n) * (1 - 1 / (4 * n) + 1 / (21 * n * n))
 
-    mean = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    if mean.shape != (n,):
-        raise OptimError(f"x0 must have shape ({n},)")
+    mean = np.zeros(n)
     sigma = float(sigma0)
     cov = np.eye(n)
     p_sigma = np.zeros(n)
@@ -381,7 +377,6 @@ def cmaes_run(
                 generation=g,
                 best_f=float(f[gen_best]),
                 best_x=x[gen_best].copy(),
-                mean=mean.copy(),
                 sigma=sigma,
                 min_eigenvalue=min_eig,
                 seconds=time.monotonic() - t0,

@@ -687,14 +687,20 @@ def _other_assets(tmp):
     return str(tmp / "six" / "prices.csv")
 
 
-def _overflowing_checkpoint(ws, tmp):
-    """Finite stored parameters whose convolution overflows to inf."""
+def _overflowing_checkpoint(ws, tmp, **values):
+    """Finite stored parameters, each filled with its given value, that overflow in eval."""
     payload = json.loads((ws["run"] / "checkpoint.best").read_text())
-    for name in ("conv_w", "conv_b"):
+    for name, value in values.items():
         shape = payload["params"][name]["shape"]
-        payload["params"][name] = trainer.pack_array(np.full(shape, 1.7e308))
+        payload["params"][name] = trainer.pack_array(np.full(shape, value))
     path = tmp / "checkpoint.best"
     path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _series_csv(tmp, text):
+    path = tmp / "series.csv"
+    path.write_text(text)
     return str(path)
 
 
@@ -851,9 +857,25 @@ _DOCUMENTED_FAILURES = {
         3, "numerical", "iteration 1",
     ),
     "eval_overflow": (
-        lambda ws, tmp: ["eval", _overflowing_checkpoint(ws, tmp), "--data", str(ws["prices"]),
-                         "--out", str(tmp / "out")],
+        lambda ws, tmp: ["eval", _overflowing_checkpoint(ws, tmp, conv_w=1.7e308, conv_b=1.7e308),
+                         "--data", str(ws["prices"]), "--out", str(tmp / "out")],
         3, "numerical", "non-finite value produced by primitive",
+    ),
+    # the matmuls overflow and their sum is invalid: no numpy warning precedes the error line
+    "eval_lstm_overflow": (
+        lambda ws, tmp: ["eval", _overflowing_checkpoint(ws, tmp, lstm_wx=1.7e308, lstm_wh=-1.7e308),
+                         "--data", str(ws["prices"]), "--out", str(tmp / "out")],
+        3, "numerical", "'lstm_cell'",
+    ),
+    "plot_nan_cell": (
+        lambda ws, tmp: ["plot", "--data", _series_csv(tmp, "date,index,ensemble\n"
+                         "2020-01-01,0.1,0.2\n2020-01-02,0.3,nan\n"), "--out", str(tmp / "out")],
+        2, "data", "series 'ensemble' has a non-finite cumulative sum",
+    ),
+    "plot_overflowing_series": (
+        lambda ws, tmp: ["plot", "--data", _series_csv(tmp, "date,index\n"
+                         "2020-01-01,1e308\n2020-01-02,1e308\n"), "--out", str(tmp / "out")],
+        2, "data", "series 'index' has a non-finite cumulative sum",
     ),
 }
 

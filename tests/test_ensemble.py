@@ -1,6 +1,11 @@
 """Bagging and out-of-sample evaluation of populations."""
+from datetime import date, timedelta
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qdportfolio.ensemble import (
     EXPORT_WEIGHT_FLOOR,
@@ -9,7 +14,7 @@ from qdportfolio.ensemble import (
     evaluate_population,
 )
 from qdportfolio.generator import Population, sparsemax
-from qdportfolio.marketdata import synth_dataset
+from qdportfolio.marketdata import ReturnPanel, synth_dataset
 
 
 def make_population(weights, logits=None, mode="eval"):
@@ -120,6 +125,39 @@ def test_jensen_gap_over_random_populations():
         population = random_population(rng, int(rng.integers(2, 20)), 8)
         report = evaluate_population(population, panel)
         assert report.ensemble_mse <= report.mean_sub_mse + 1e-12, f"trial {trial}"
+
+
+@st.composite
+def simplex_population_on_panel(draw):
+    """A 1-8 member population on the simplex over 2-10 assets, and a finite panel."""
+    n_assets = draw(st.integers(2, 10))
+    n_rows = draw(st.integers(2, 40))
+    cells = st.floats(-1.0, 1.0, allow_subnormal=False)
+    returns = draw(hnp.arrays(np.float64, (n_rows, n_assets), elements=cells))
+    index_returns = draw(hnp.arrays(np.float64, n_rows, elements=cells))
+    masses = draw(hnp.arrays(np.float64, (draw(st.integers(1, 8)), n_assets),
+                             elements=st.floats(0.0, 1.0, allow_subnormal=False)))
+    masses[:, 0] += 1e-3  # every row has positive mass to normalise
+    panel = ReturnPanel(
+        dates=tuple(date(2020, 1, 1) + timedelta(days=t) for t in range(n_rows)),
+        tickers=tuple(f"A{j}" for j in range(n_assets)),
+        returns=returns,
+        index_returns=index_returns,
+    )
+    return make_population(masses / masses.sum(axis=1, keepdims=True)), panel
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=simplex_population_on_panel())
+def test_ensemble_is_no_worse_than_its_average_member(case):
+    """The tracking MSE is convex in the weights, so the bagged rows never lose to their mean."""
+    population, panel = case
+    report = evaluate_population(population, panel, bag_mode="sparsify_rows")
+    # rounding moves each daily deviation by a few ulps per asset of the largest value, which
+    # decides the order alone when every member tracks the index to that level
+    scale = max(np.abs(panel.returns).max(), np.abs(panel.index_returns).max())
+    rounding = 4 * (panel.n_assets + 8) * np.finfo(np.float64).eps * scale
+    assert report.ensemble_mse <= (np.sqrt(report.mean_sub_mse * (1 + 1e-12)) + rounding) ** 2
 
 
 def test_evaluate_population_report_consistency():

@@ -294,7 +294,6 @@ def test_panel_to_prices_inverts_log_returns():
 def test_time_split_floor_and_boundaries():
     panel, _ = synth_dataset(n_assets=4, n_days=10, k_sparse=2, noise_scale=0.0, seed=0)
     split = time_split(panel, 0.8)
-    assert split.split_index == 8
     assert split.train.n_rows == 8 and split.validation.n_rows == 2
     np.testing.assert_array_equal(
         np.vstack([split.train.returns, split.validation.returns]), panel.returns
@@ -317,7 +316,6 @@ def test_sample_window_bounds_and_golden_sequence():
     w = sample_window(panel, 60, np.random.default_rng(7))
     np.testing.assert_array_equal(w.returns, panel.returns[39:99])
     np.testing.assert_array_equal(w.index_returns, panel.index_returns[39:99])
-    assert w.length == 60
     full = sample_window(panel, 101, np.random.default_rng(0))
     assert full.start == 0
     with pytest.raises(DataError):

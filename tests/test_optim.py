@@ -238,12 +238,6 @@ def test_cmaes_deterministic_in_seed():
     assert a.best_f != c.best_f
 
 
-def test_cmaes_respects_x0():
-    obj = lambda x: float(np.sum(x * x))
-    result = cmaes_run(obj, dim=2, popsize=8, iterations=1, seed=0, sigma0=1e-3, x0=np.array([5.0, 5.0]))
-    assert np.all(np.abs(result.generations[0].mean - 5.0) < 1.0)
-
-
 def test_cmaes_argument_validation():
     obj = lambda x: 0.0
     with pytest.raises(OptimError):
@@ -254,7 +248,5 @@ def test_cmaes_argument_validation():
         cmaes_run(obj, dim=2, popsize=8, iterations=0, seed=0)
     with pytest.raises(OptimError):
         cmaes_run(obj, dim=2, popsize=8, iterations=1, seed=0, sigma0=0.0)
-    with pytest.raises(OptimError):
-        cmaes_run(obj, dim=2, popsize=8, iterations=1, seed=0, x0=np.zeros(3))
     with pytest.raises(OptimError):
         cmaes_run(lambda x: np.nan, dim=2, popsize=8, iterations=1, seed=0)

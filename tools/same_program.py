@@ -1,0 +1,143 @@
+"""Check that two versions of qdportfolio write the same files.
+
+    python tools/same_program.py OLD [NEW]
+
+OLD and NEW are git refs of this repository; NEW defaults to the working
+tree, uncommitted edits included.  Each ref is checked out by a local
+`git clone`, with no network.  One fixed corpus of CLI commands runs on
+each side through `PYTHONPATH=<side>/src python -m qdportfolio.cli`, and
+every file it writes is compared byte for byte.  `timing.csv`, the one
+file that holds wall-clock times, is skipped.  The script prints each
+differing file, then `identical N, different M, timing.csv skipped K`,
+and exits 1 when M > 0.
+
+The corpus: a 12-asset, 300-day `synth`; `train` for 30 iterations at
+learning rates 0.01 and 0.3 with `--window 60`; `train` for 15 iterations,
+then `--resume` to 30; `eval` of the best checkpoint, and of the final one
+with `--eval-seed 7`; `plot`; `compare --iterations 12` plus `eval` of its
+cmaes and rprop best checkpoints; `compare --train-fraction 0.7`; and the
+`tests/data/checkpoint_v1` fixture through `eval` and `--resume`.  Each
+command's exit code and stdout are kept in `commands.txt`, which is
+compared like any other file.  The stderr of the documented failures is
+pinned by `tests/test_cli.py`, not here.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+SKIPPED = "timing.csv"
+# one BLAS thread: the fixture was written that way, and it keeps the run small
+_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def _corpus() -> list[tuple[str, list[str]]]:
+    """(name, argv) per command, with paths relative to the output directory."""
+    data = ["--data", "synth/prices.csv"]
+    v1 = ["--data", "../fixture/prices.csv"]
+
+    def train(iterations: int, *rest: str) -> list[str]:
+        return ["train", *data, "--window", "60", "--iterations", str(iterations), *rest]
+
+    def evaluate(checkpoint: str, out: str, *rest: str) -> list[str]:
+        return ["eval", checkpoint, *data, *rest, "--out", out]
+
+    def compare(out: str, *rest: str) -> list[str]:
+        return ["compare", *data, "--window", "60", "--iterations", "12", *rest, "--out", out]
+
+    return [
+        ("synth", ["synth", "--assets", "12", "--days", "300", "--out", "synth"]),
+        ("train_lr_0.01", train(30, "--config", "../lr_0.01.config", "--out", "lr_0.01")),
+        ("train_lr_0.3", train(30, "--config", "../lr_0.3.config", "--out", "lr_0.3")),
+        ("train_half", train(15, "--out", "half")),
+        ("train_resumed", train(30, "--resume", "half/checkpoint.final", "--out", "resumed")),
+        ("eval_best", evaluate("lr_0.01/checkpoint.best", "eval_best")),
+        ("eval_final_seed", evaluate("lr_0.01/checkpoint.final", "eval_final_seed",
+                                     "--eval-seed", "7")),
+        ("plot", ["plot", "--data", "eval_best/series.csv", "--out", "plot"]),
+        ("compare", compare("cmp")),
+        ("eval_cmaes", evaluate("cmp/runs/cmaes/checkpoint.best", "eval_cmaes")),
+        ("eval_rprop", evaluate("cmp/runs/rprop/checkpoint.best", "eval_rprop")),
+        ("compare_fraction", compare("cmp_fraction", "--train-fraction", "0.7")),
+        ("v1_eval_generator", ["eval", "../fixture/generator.checkpoint", *v1,
+                               "--out", "v1_eval_generator"]),
+        ("v1_eval_baseline", ["eval", "../fixture/baseline.checkpoint", *v1,
+                              "--out", "v1_eval_baseline"]),
+        ("v1_resume", ["train", *v1, "--config", "../fixture/small.config", "--seed", "4",
+                       "--iterations", "4", "--resume", "../fixture/generator.checkpoint",
+                       "--out", "v1_resumed"]),
+    ]
+
+
+def run_corpus(side: Path, work: Path) -> Path:
+    """Run the corpus with checkout `side`'s package and v1 fixture; return the output directory.
+
+    The inputs (the fixture, copied to `work/fixture`, and the two rate
+    configs) sit beside `work/out`, where the outputs go, so no path that
+    names `side` or `work` reaches a file or stdout.
+    """
+    out = work / "out"
+    out.mkdir(parents=True)
+    shutil.copytree(side / "tests" / "data" / "checkpoint_v1", work / "fixture")
+    for rate in ("0.01", "0.3"):
+        (work / f"lr_{rate}.config").write_text(f"learning_rate={rate}\n", encoding="utf-8")
+    env = {**os.environ, **_ENV, "PYTHONPATH": str(side / "src")}
+    log = []
+    for name, argv in _corpus():
+        proc = subprocess.run([sys.executable, "-m", "qdportfolio.cli", *argv], cwd=out, env=env,
+                              capture_output=True, text=True, encoding="utf-8")
+        log.append(f"{name}: exit {proc.returncode}\n{proc.stdout}")
+    (out / "commands.txt").write_text("".join(log), encoding="utf-8")
+    return out
+
+
+def compare_trees(a: Path, b: Path) -> tuple[list[str], list[str], int]:
+    """(identical, different, skipped) relative paths; a file on one side only differs."""
+    files_a = {p.relative_to(a).as_posix() for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b).as_posix() for p in b.rglob("*") if p.is_file()}
+    identical, different, skipped = [], [], 0
+    for rel in sorted(files_a | files_b):
+        if Path(rel).name == SKIPPED:
+            skipped += 1
+        elif rel in files_a and rel in files_b and (a / rel).read_bytes() == (b / rel).read_bytes():
+            identical.append(rel)
+        else:
+            different.append(rel)
+    return identical, different, skipped
+
+
+def _checkout(ref: str, dest: Path) -> Path:
+    sha = subprocess.run(["git", "-C", str(REPO), "rev-parse", "--verify", f"{ref}^{{commit}}"],
+                         check=True, capture_output=True, text=True).stdout.strip()
+    subprocess.run(["git", "clone", "--quiet", "--no-checkout", str(REPO), str(dest)], check=True)
+    subprocess.run(["git", "-C", str(dest), "checkout", "--quiet", sha], check=True)
+    return dest
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old", metavar="OLD", help="git ref of the reference version")
+    parser.add_argument("new", metavar="NEW", nargs="?", default=None,
+                        help="git ref to check (default: the working tree)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="same_program_") as tmp:
+        root = Path(tmp)
+        old = _checkout(args.old, root / "old")
+        new = REPO if args.new is None else _checkout(args.new, root / "new")
+        identical, different, skipped = compare_trees(
+            run_corpus(old, root / "run_old"), run_corpus(new, root / "run_new")
+        )
+    for rel in different:
+        print(f"different: {rel}")
+    print(f"identical {len(identical)}, different {len(different)}, {SKIPPED} skipped {skipped}")
+    return 1 if different else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
