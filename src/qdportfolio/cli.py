@@ -331,6 +331,8 @@ def render_svg(names: list[str], series: list[np.ndarray]) -> str:
     lo = min(float(c.min()) for c in cumulative)
     hi = max(float(c.max()) for c in cumulative)
     span = hi - lo if hi > lo else 1.0
+    if not np.isfinite(span):  # each sum is finite, but their spread is not
+        raise DataError(f"cumulative sums from {lo!r} to {hi!r} span more than a float holds")
     margin = 40.0
     plot_w = SVG_WIDTH - 2 * margin
     plot_h = SVG_HEIGHT - 2 * margin

@@ -129,7 +129,6 @@ class EvalRecord:
 class RunArtifacts:
     """In-memory result of one run; `save_run` writes the on-disk layout."""
 
-    label: str
     config: dict
     losses: list[obj.LossReport]
     evals: list[EvalRecord]
@@ -507,7 +506,7 @@ def _resume_from(config: TrainConfig, resume: dict) -> tuple[_Snapshot, _Snapsho
         )
     if "best_state" in resume:
         return start, _Snapshot.decode(resume["best_state"], saved)
-    if start.best_iteration == start.iteration:  # a checkpoint.best is its own best
+    if start.best_iteration == start.iteration:  # a checkpoint.best, or a final at its best
         return start, start
     raise DataError(f"checkpoint lacks best_state for its best iteration {start.best_iteration}")
 
@@ -542,10 +541,10 @@ class _RunRecord:
         self.wall_clock.append(time.monotonic() - started)
         return best
 
-    def artifacts(self, label: str, final_checkpoint: dict, best_checkpoint: dict,
+    def artifacts(self, final_checkpoint: dict, best_checkpoint: dict,
                   evaluations_used: int, start_iteration: int = 0) -> RunArtifacts:
         return RunArtifacts(
-            label=label, config=config_to_flat(self.config), losses=self.losses, evals=self.evals,
+            config=config_to_flat(self.config), losses=self.losses, evals=self.evals,
             best_iteration=self.best_iteration, best_validation_mse=self.best_mse,
             final_checkpoint=final_checkpoint, best_checkpoint=best_checkpoint,
             evaluations_used=evaluations_used, wall_clock=self.wall_clock,
@@ -589,14 +588,10 @@ def train_generator(
             i, theta, state, opt_state, rng_states, start.eval_noise, run.best_iteration, run.best_mse
         )
 
-    def eval_population() -> gen.Population:
-        params = gen.GeneratorParams.from_flat(config.generator, theta)
-        return gen.forward(params, state, start.eval_noise, mode="eval").population
-
+    params = gen.GeneratorParams.from_flat(config.generator, theta)
     for i in range(start.iteration + 1, config.iterations + 1):
         t0 = time.monotonic()
         try:
-            params = gen.GeneratorParams.from_flat(config.generator, theta)
             window = sample_window(data.train, config.window, rngs["windows"])
             noise = gen.sample_noise(config.generator, rngs["noise"])
             result = obj.total_loss(
@@ -605,8 +600,10 @@ def train_generator(
             dc.backward(result.loss)
             grads = np.concatenate([result.param_nodes[name].grad.ravel() for name in gen.PARAM_ORDER])
             theta, opt_state = step(kind, theta, grads, opt_state, config.hyper)
-            state = result.new_state
-            if run.record(i, result.report, eval_population, t0):
+            params, state = gen.GeneratorParams.from_flat(config.generator, theta), result.new_state
+            if run.record(i, result.report,
+                          lambda: gen.forward(params, state, start.eval_noise, mode="eval").population,
+                          t0):
                 best = snapshot(i)
         except (dc.NonFiniteError, OptimError) as e:
             raise TrainError(f"iteration {i}: {e}") from e
@@ -614,9 +611,10 @@ def train_generator(
     # set by now: a resumed run starts from its best, and a fresh one validates its
     # last iteration, whose finite MSE beats the initial inf
     best_checkpoint = best.encode(config)
-    final_checkpoint = snapshot(config.iterations).encode(config, best_checkpoint)
+    final_checkpoint = (best_checkpoint if best.iteration == config.iterations  # its own best
+                        else snapshot(config.iterations).encode(config, best_checkpoint))
     return run.artifacts(
-        "proposed", final_checkpoint, best_checkpoint,
+        final_checkpoint, best_checkpoint,
         evaluations_used=config.generator.population * config.iterations,
         start_iteration=start.iteration,
     )
@@ -704,7 +702,6 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
         evaluations_used = config.iterations
 
     art = run.artifacts(
-        kind.value,
         _baseline_payload(config, kind, config.iterations, logits, run, best_logits),
         _baseline_payload(config, kind, run.best_iteration, best_logits, run, best_logits),
         evaluations_used=evaluations_used,

@@ -877,6 +877,12 @@ _DOCUMENTED_FAILURES = {
                          "2020-01-01,1e308\n2020-01-02,1e308\n"), "--out", str(tmp / "out")],
         2, "data", "series 'index' has a non-finite cumulative sum",
     ),
+    # each cumulative sum is finite, but the span between them is not
+    "plot_overflowing_span": (
+        lambda ws, tmp: ["plot", "--data", _series_csv(tmp, "date,a,b\n"
+                         "2020-01-01,1e308,-1e308\n2020-01-02,0,0\n"), "--out", str(tmp / "out")],
+        2, "data", "cumulative sums from -1e+308 to 1e+308 span more than a float holds",
+    ),
 }
 
 

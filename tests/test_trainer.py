@@ -131,7 +131,6 @@ def test_train_generator_bookkeeping():
     data = make_data()
     config = make_config()
     run = train_generator(config, data)
-    assert run.label == "proposed"
     assert len(run.losses) == 6
     assert len(run.wall_clock) == 6
     assert run.evaluations_used == GEN.population * 6
@@ -217,6 +216,18 @@ def test_resume_carries_a_best_it_never_beats():
     assert canon(resumed.best_checkpoint) == canon(full.best_checkpoint)
 
 
+def test_final_checkpoint_nests_only_another_iterations_best():
+    data = make_data()
+    own = train_generator(make_config(iterations=4, eval_every=4), data)
+    assert own.best_iteration == 4
+    assert own.final_checkpoint == own.best_checkpoint
+    assert "best_state" not in own.final_checkpoint
+    earlier = train_generator(make_config(iterations=8, hyper=Hyper(learning_rate=0.3)), data)
+    assert earlier.best_iteration == 3
+    assert "best_state" not in earlier.best_checkpoint
+    assert earlier.final_checkpoint["best_state"] == earlier.best_checkpoint
+
+
 def test_resume_rejects_mismatched_config():
     data = make_data()
     first = train_generator(make_config(iterations=4), data)
@@ -298,6 +309,7 @@ def test_load_checkpoint_errors(tmp_path):
 
 def test_load_checkpoint_rejects_incomplete_documents(tmp_path):
     payload = train_generator(make_config(iterations=2), make_data()).final_checkpoint
+    assert payload["best"]["iteration"] == 1  # so the final nests its best
     path = tmp_path / "checkpoint.final"
     save_checkpoint({k: v for k, v in payload.items() if k != "state"}, path)
     with pytest.raises(DataError, match="lacks field: state"):
@@ -384,7 +396,6 @@ def test_unpack_array_rejects_malformed_blobs(blob, message):
 def test_baselines_run_and_budget(kind):
     data = make_data()
     run = train_baseline(kind, make_config(optimizer=kind), data)
-    assert run.label == kind.value
     assert len(run.losses) == 6
     assert run.evaluations_used == 6
     assert math.isfinite(run.best_validation_mse)

@@ -13,9 +13,12 @@ and exits 1 when M > 0.
 
 The corpus: a 12-asset, 300-day `synth`; `train` for 30 iterations at
 learning rates 0.01 and 0.3 with `--window 60`; `train` for 15 iterations,
-then `--resume` to 30; `eval` of the best checkpoint, and of the final one
-with `--eval-seed 7`; `plot`; `compare --iterations 12` plus `eval` of its
-cmaes and rprop best checkpoints; `compare --train-fraction 0.7`; and the
+then `--resume` to 30, once at the default cadence and once with
+`eval_every=30` (the benchmark's resume shape: both runs end at their best,
+so each writes a `checkpoint.final` without a nested best); `eval` of the
+best checkpoint, and of the final one with `--eval-seed 7`; `plot`;
+`compare --iterations 12` plus `eval` of its cmaes and rprop best
+checkpoints; `compare --train-fraction 0.7`; and the
 `tests/data/checkpoint_v1` fixture through `eval` and `--resume`.  Each
 command's exit code and stdout are kept in `commands.txt`, which is
 compared like any other file.  The stderr of the documented failures is
@@ -57,6 +60,10 @@ def _corpus() -> list[tuple[str, list[str]]]:
         ("train_lr_0.3", train(30, "--config", "../lr_0.3.config", "--out", "lr_0.3")),
         ("train_half", train(15, "--out", "half")),
         ("train_resumed", train(30, "--resume", "half/checkpoint.final", "--out", "resumed")),
+        ("train_sparse_half", train(15, "--config", "../eval_30.config", "--out", "sparse_half")),
+        ("train_sparse_resumed", train(30, "--config", "../eval_30.config",
+                                       "--resume", "sparse_half/checkpoint.final",
+                                       "--out", "sparse_resumed")),
         ("eval_best", evaluate("lr_0.01/checkpoint.best", "eval_best")),
         ("eval_final_seed", evaluate("lr_0.01/checkpoint.final", "eval_final_seed",
                                      "--eval-seed", "7")),
@@ -78,15 +85,16 @@ def _corpus() -> list[tuple[str, list[str]]]:
 def run_corpus(side: Path, work: Path) -> Path:
     """Run the corpus with checkout `side`'s package and v1 fixture; return the output directory.
 
-    The inputs (the fixture, copied to `work/fixture`, and the two rate
-    configs) sit beside `work/out`, where the outputs go, so no path that
-    names `side` or `work` reaches a file or stdout.
+    The inputs (the fixture, copied to `work/fixture`, the two rate configs
+    and the cadence config) sit beside `work/out`, where the outputs go, so
+    no path that names `side` or `work` reaches a file or stdout.
     """
     out = work / "out"
     out.mkdir(parents=True)
     shutil.copytree(side / "tests" / "data" / "checkpoint_v1", work / "fixture")
     for rate in ("0.01", "0.3"):
         (work / f"lr_{rate}.config").write_text(f"learning_rate={rate}\n", encoding="utf-8")
+    (work / "eval_30.config").write_text("eval_every=30\n", encoding="utf-8")
     env = {**os.environ, **_ENV, "PYTHONPATH": str(side / "src")}
     log = []
     for name, argv in _corpus():
