@@ -281,12 +281,13 @@ def _cmd_eval(args) -> int:
         "iteration": payload["iteration"],
         "eval_seed": resolved["eval_seed"],  # unset: the checkpoint's stored noise
     }, out / REPORT_TXT)
-    members = [f"sub_{i:04d}" for i in range(report.sub_returns.shape[0])]
+    members = [f"sub_{i:04d}" for i in range(population.weights.shape[0])]
     trainer.write_rows(out / SERIES_CSV, ["date", "index", "ensemble", *members], (
         (day.isoformat(), index, ensemble, *subs)
         for day, index, ensemble, subs in zip(
-            validation.dates, report.index_returns.tolist(),
-            report.ensemble_returns.tolist(), report.sub_returns.T.tolist(),
+            validation.dates, validation.index_returns.tolist(),
+            ens.evaluate(report.ensemble_weights, validation).returns.tolist(),
+            ens.member_returns(population.weights, validation).T.tolist(),
         )
     ))
     trainer.write_rows(out / WEIGHTS_CSV, ["ticker", "weight"], [

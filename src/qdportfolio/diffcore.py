@@ -75,6 +75,9 @@ class NonFiniteError(ArithmeticError):
         super().__init__(f"non-finite value produced by primitive '{op}'")
         self.op = op
 
+    def __reduce__(self):  # rebuilt from `op`: `args` holds the message
+        return type(self), (self.op,)
+
 
 class GradCheckError(ValueError):
     """Finite-difference verification cannot run at the given point."""

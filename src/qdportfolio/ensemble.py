@@ -22,6 +22,7 @@ __all__ = [
     "bag",
     "evaluate",
     "evaluate_population",
+    "member_returns",
     "EXPORT_WEIGHT_FLOOR",
 ]
 
@@ -50,7 +51,11 @@ class PortfolioEval:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Out-of-sample summary of a population and its bagged ensemble."""
+    """Out-of-sample summary of a population and its bagged ensemble.
+
+    It holds no return series: `evaluate(...).returns` and `member_returns`
+    give those.
+    """
 
     ensemble_mse: float
     ensemble_l2: float
@@ -59,9 +64,6 @@ class EvalReport:
     max_corr: float
     support_size: int
     ensemble_weights: np.ndarray
-    ensemble_returns: np.ndarray
-    sub_returns: np.ndarray   # (B, T)
-    index_returns: np.ndarray
 
 
 def bag(population: Population, mode: str = "sparsify_rows") -> EnsemblePortfolio:
@@ -103,15 +105,22 @@ def evaluate(weights: np.ndarray, panel: ReturnPanel) -> PortfolioEval:
     )
 
 
+def member_returns(weights: np.ndarray, panel: ReturnPanel) -> np.ndarray:
+    """Daily returns of each weight row on a panel, shape (B, T).
+
+    One matrix-vector product per row: a single (B, N) @ (N, T) product
+    rounds differently in the last bits.
+    """
+    return np.vstack([panel.returns @ row for row in weights])
+
+
 def evaluate_population(
     population: Population, panel: ReturnPanel, bag_mode: str = "sparsify_rows"
 ) -> EvalReport:
     """Evaluate every member and the bagged ensemble on one panel."""
     ensemble = bag(population, mode=bag_mode)
     ens_eval = evaluate(ensemble.weights, panel)
-    # one matrix-vector product per member: a single (B, N) @ (N, T)
-    # product rounds differently in the last bits
-    sub_returns = np.vstack([panel.returns @ row for row in population.weights])
+    sub_returns = member_returns(population.weights, panel)
     deviation = sub_returns - panel.index_returns
     sub_mse = np.mean(deviation * deviation, axis=1)
     if len(sub_mse) > 1:
@@ -128,7 +137,4 @@ def evaluate_population(
         max_corr=max_corr,
         support_size=ensemble.support_size,
         ensemble_weights=ensemble.weights,
-        ensemble_returns=ens_eval.returns,
-        sub_returns=sub_returns,
-        index_returns=np.asarray(panel.index_returns),
     )

@@ -14,7 +14,7 @@ import io
 import math
 import os
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date as Date, timedelta
 from functools import partial
 from pathlib import Path
@@ -53,6 +53,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _reduce_through_init(table):
+    """Pickle a table as its constructor call, so it unpickles frozen and checked."""
+    return type(table), tuple(getattr(table, f.name) for f in fields(table))
+
+
 @dataclass(frozen=True)
 class PriceTable:
     """Positive prices for N assets plus the tracked index, sorted by date."""
@@ -62,6 +67,8 @@ class PriceTable:
     prices: np.ndarray        # (T, N), read-only
     index_name: str
     index_prices: np.ndarray  # (T,), read-only
+
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self):
         object.__setattr__(self, "prices", _freeze(self.prices))
@@ -96,6 +103,8 @@ class ReturnPanel:
     tickers: tuple[str, ...]
     returns: np.ndarray        # (T, N), read-only
     index_returns: np.ndarray  # (T,), read-only
+
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self):
         object.__setattr__(self, "returns", _freeze(self.returns))

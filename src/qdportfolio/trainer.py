@@ -19,6 +19,8 @@ import enum
 import io
 import json
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -713,6 +715,40 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
 # --------------------------------------------------------------------------
 # comparison harness
 
+def _compare_task(config: TrainConfig, data: SplitPanels, kind: OptimizerKind | None,
+                  run_seed: int, baseline_rate: float) -> RunArtifacts:
+    """One run of `compare_optimizers`: baseline `kind`, or the generator when None."""
+    if kind is None:
+        return train_generator(replace(config, seed=run_seed), data)
+    baseline_config = replace(
+        config,
+        seed=run_seed,
+        hyper=replace(config.hyper, learning_rate=baseline_rate),
+        optimizer=OptimizerKind.ADAMW if kind is OptimizerKind.CMAES else kind,
+    )
+    return train_baseline(kind, baseline_config, data)
+
+
+def _end_with_parent(parent: int) -> None:
+    """`compare_optimizers`' worker set-up: end at an interrupt, and with the parent.
+
+    Otherwise an interrupted `compare` waits for every queued run, and a killed
+    one leaves forked workers blocked on the task queue for good.
+    """
+    import ctypes
+    import signal
+
+    # Ctrl-C reaches the whole process group; a caller that ignores it keeps its workers
+    if signal.getsignal(signal.SIGINT) is signal.default_int_handler:
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+    if sys.platform == "linux":
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG: killed when the parent ends
+        if os.getppid() != parent:  # it ended before prctl took effect
+            os._exit(1)
+
+
 def compare_optimizers(
     config: TrainConfig,
     data: SplitPanels,
@@ -723,28 +759,38 @@ def compare_optimizers(
 
     Each run gets its own seed derived from the master seed and its task
     index.  The baselines run at `config.hyper` with `baseline_rate` as
-    their learning rate.  A failed run is recorded as failed with its error
-    message, never dropped.  Rows are sorted by best validation MSE,
-    failures last.
+    their learning rate.  The runs are independent, so they run in worker
+    processes, one per usable CPU at most; each computes what it would in
+    this process.  A failed run, or one whose worker died, is recorded as
+    failed with its error message, never dropped.  Rows are sorted by best
+    validation MSE, failures last.
     """
+    # Imported here, not at module level: only this function starts processes,
+    # and every other entry point would pay their import time and memory.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     ordered = list(dict.fromkeys(OptimizerKind(kind) for kind in kinds))
+    tasks = [*ordered, None]  # None: the proposed generator
+    seeds = [int(np.random.SeedSequence([config.seed, idx]).generate_state(1)[0])
+             for idx in range(len(tasks))]
+    # the CPUs this process may run on; not every platform can say
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    # fork: the workers inherit the imported package and its BLAS set-up
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+    with ProcessPoolExecutor(min(len(tasks), cpus), mp_context=context,
+                             initializer=_end_with_parent, initargs=(os.getpid(),)) as pool:
+        # the generator and CMA-ES, the longest runs, go first
+        futures = [pool.submit(_compare_task, config, data, kind, run_seed, baseline_rate)
+                   for kind, run_seed in zip(tasks[::-1], seeds[::-1])][::-1]
+    # the pool has shut down: every run has finished or failed, and no worker is left
     rows: list[ComparisonRow] = []
     artifacts: dict[str, RunArtifacts] = {}
-    for idx, kind in enumerate([*ordered, None]):  # None: the proposed generator
+    for kind, run_seed, future in zip(tasks, seeds, futures):
         label = "proposed" if kind is None else kind.value
-        run_seed = int(np.random.SeedSequence([config.seed, idx]).generate_state(1)[0])
         try:
-            if kind is None:
-                art = train_generator(replace(config, seed=run_seed), data)
-            else:
-                baseline_config = replace(
-                    config,
-                    seed=run_seed,
-                    hyper=replace(config.hyper, learning_rate=baseline_rate),
-                    optimizer=OptimizerKind.ADAMW if kind is OptimizerKind.CMAES else kind,
-                )
-                art = train_baseline(kind, baseline_config, data)
-        except Exception as e:  # a failed run must be recorded, not raised
+            art = future.result()
+        except Exception as e:  # a failed run, or a dead worker, is recorded, not raised
             rows.append(
                 ComparisonRow(
                     optimizer=label, status="failed",

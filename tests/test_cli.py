@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from qdportfolio import trainer
 from qdportfolio.ensemble import BAG_MODES
 from qdportfolio.generator import GeneratorConfig
-from qdportfolio.marketdata import DataError
+from qdportfolio.marketdata import DataError, compute_log_returns, load_prices, time_split
 from qdportfolio.objective import LossConfig
 from qdportfolio.optim import GRADIENT_KINDS, Hyper
 from qdportfolio.trainer import TrainConfig
@@ -158,6 +158,10 @@ def test_eval_reproduces_training_best(workspace, capsys, tmp_path):
     series = (out / "series.csv").read_text().splitlines()
     assert series[0] == "date,index,ensemble," + ",".join(f"sub_{i:04d}" for i in range(4))
     assert len(series) == 13       # 12 validation rows
+    # the index column is the validation panel's own series, bit for bit
+    table = load_prices(workspace["prices"], "INDEX")
+    validation = time_split(compute_log_returns(table), 0.8).validation
+    assert [float(line.split(",")[1]) for line in series[1:]] == validation.index_returns.tolist()
     weights = (out / "weights.csv").read_text().splitlines()
     assert weights[0] == "ticker,weight"
     total = sum(float(line.split(",")[1]) for line in weights[1:])

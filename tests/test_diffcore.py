@@ -4,6 +4,8 @@ Every primitive is checked against central finite differences, and the
 handful of fused backward rules (softmax, correlation, max) additionally
 against hand-written numpy forward oracles.
 """
+import pickle
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,14 @@ def test_node_rejects_non_finite_values():
         dc.Node(np.nan, op="bad_op")
     except dc.NonFiniteError as e:
         assert e.op == "bad_op"
+
+
+def test_non_finite_error_round_trips_through_pickle():
+    # a worker process sends its exception back pickled
+    error = pickle.loads(pickle.dumps(dc.NonFiniteError("relu")))
+    assert type(error) is dc.NonFiniteError
+    assert error.op == "relu"
+    assert str(error) == "non-finite value produced by primitive 'relu'"
 
 
 def test_non_finite_result_names_the_op():

@@ -12,6 +12,7 @@ from qdportfolio.ensemble import (
     bag,
     evaluate,
     evaluate_population,
+    member_returns,
 )
 from qdportfolio.generator import Population, sparsemax
 from qdportfolio.marketdata import ReturnPanel, synth_dataset
@@ -165,15 +166,16 @@ def test_evaluate_population_report_consistency():
     rng = np.random.default_rng(1)
     population = random_population(rng, 6, 5)
     report = evaluate_population(population, panel)
+    sub_returns = member_returns(population.weights, panel)
     assert len(report.sub_mse) == 6
     assert report.mean_sub_mse == pytest.approx(np.mean(report.sub_mse), rel=1e-12)
     np.testing.assert_allclose(
-        report.ensemble_returns, panel.returns @ report.ensemble_weights, atol=1e-15
+        evaluate(report.ensemble_weights, panel).returns, panel.returns @ report.ensemble_weights,
+        atol=1e-15,
     )
-    assert report.sub_returns.shape == (6, panel.n_rows)
-    np.testing.assert_array_equal(report.index_returns, panel.index_returns)
+    assert sub_returns.shape == (6, panel.n_rows)
     assert report.support_size == np.count_nonzero(report.ensemble_weights)
-    expected_corr = np.corrcoef(report.sub_returns)
+    expected_corr = np.corrcoef(sub_returns)
     iu, ju = np.triu_indices(6, k=1)
     assert report.max_corr == pytest.approx(expected_corr[iu, ju].max(), abs=1e-12)
     # per-member mse recomputed independently
@@ -189,7 +191,8 @@ def test_evaluate_population_equals_member_by_member_evaluate(batch):
     report = evaluate_population(population, panel)
     members = [evaluate(row, panel) for row in population.weights]
     # the reference is evaluated one member at a time: equal to the last bit
-    assert report.sub_returns.tobytes() == np.vstack([m.returns for m in members]).tobytes()
+    sub_returns = member_returns(population.weights, panel)
+    assert sub_returns.tobytes() == np.vstack([m.returns for m in members]).tobytes()
     assert report.sub_mse == tuple(m.mse for m in members)
     assert report.mean_sub_mse == float(np.mean([m.mse for m in members]))
 

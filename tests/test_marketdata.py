@@ -1,6 +1,7 @@
 """Price ingestion, return math, splits, windows and synthetic data."""
 import csv
 import math
+import pickle
 from datetime import date as Date
 
 import numpy as np
@@ -366,3 +367,25 @@ def test_panels_are_immutable():
         panel.returns[0, 0] = 9.9
     with pytest.raises(ValueError):
         panel.index_returns[0] = 9.9
+
+
+def test_pickled_tables_come_back_frozen_and_checked():
+    # compare_optimizers pickles its data to every worker process
+    panel, _ = synth_dataset(n_assets=4, n_days=20, k_sparse=2, noise_scale=0.001, seed=1)
+    split = pickle.loads(pickle.dumps(time_split(panel, 0.8)))
+    prices = pickle.loads(pickle.dumps(panel_to_prices(panel, index_name="INDEX")))
+    for arr in (split.train.returns, split.validation.index_returns,
+                prices.prices, prices.index_prices):
+        assert not arr.flags.writeable
+    np.testing.assert_array_equal(split.train.returns, panel.returns[:split.train.n_rows])
+    original = panel_to_prices(panel, index_name="INDEX")
+    assert (prices.dates, prices.tickers, prices.index_name) == (
+        original.dates, original.tickers, original.index_name)
+    np.testing.assert_array_equal(prices.prices, original.prices)
+    # unpickling runs the constructor's checks
+    smuggled = panel.returns.copy()
+    smuggled[0, 0] = math.nan
+    object.__setattr__(panel, "returns", smuggled)
+    data = pickle.dumps(panel)
+    with pytest.raises(DataError, match="finite"):
+        pickle.loads(data)

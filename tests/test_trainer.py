@@ -2,8 +2,15 @@
 import base64
 import json
 import math
+import multiprocessing
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
+from contextlib import suppress
+from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
@@ -458,6 +465,112 @@ def test_repeated_runs_in_one_process_are_bit_identical(tmp_path):
     assert first == second
 
 
+def test_each_compare_worker_computes_what_one_process_computes(tmp_path):
+    data = make_data()
+    config = make_config(iterations=4, eval_every=2)
+    result = compare_optimizers(config, data)
+    assert multiprocessing.active_children() == []
+    tasks = [*GRADIENT_KINDS, OptimizerKind.CMAES, None]
+    assert set(result.artifacts) == {"proposed" if k is None else k.value for k in tasks}
+    for idx, kind in enumerate(tasks):
+        seed = int(np.random.SeedSequence([config.seed, idx]).generate_state(1)[0])
+        if kind is None:
+            label, direct = "proposed", train_generator(replace(config, seed=seed), data)
+        else:
+            label, direct = kind.value, train_baseline(kind, replace(
+                config, seed=seed, hyper=replace(config.hyper, learning_rate=0.1),
+                optimizer=OptimizerKind.ADAMW if kind is OptimizerKind.CMAES else kind,
+            ), data)
+        pooled = result.artifacts[label]
+        for name in ("best", "final"):
+            paths = [tmp_path / f"{label}.{side}.{name}" for side in ("pooled", "direct")]
+            save_checkpoint(getattr(pooled, f"{name}_checkpoint"), paths[0])
+            save_checkpoint(getattr(direct, f"{name}_checkpoint"), paths[1])
+            assert paths[0].read_bytes() == paths[1].read_bytes(), (label, name)
+        assert pooled.losses == direct.losses, label
+        assert [(e.iteration, e.report.ensemble_mse, e.report.mean_sub_mse) for e in pooled.evals] \
+            == [(e.iteration, e.report.ensemble_mse, e.report.mean_sub_mse) for e in direct.evals], label
+        assert pooled.config == direct.config, label
+
+
+def test_compare_records_a_worker_that_dies(monkeypatch):
+    real = trainer.train_baseline
+
+    def dying(kind, config, data):
+        if kind is OptimizerKind.RPROP:
+            os._exit(1)  # the worker process ends without a result
+        return real(kind, config, data)
+
+    monkeypatch.setattr(trainer, "train_baseline", dying)
+    result = compare_optimizers(make_config(iterations=2), make_data())
+    assert multiprocessing.active_children() == []
+    assert len(result.rows) == 11
+    rows = {row.optimizer: row for row in result.rows}
+    assert rows["rprop"].status == "failed"
+    assert rows["rprop"].error.startswith("BrokenProcessPool: ")
+    assert "rprop" not in result.artifacts
+    for row in result.rows:  # a run lost with the pool is failed, never dropped
+        assert (row.status == "ok") == (row.optimizer in result.artifacts)
+
+
+# Every run of a compare marks its worker with a file named by its pid, then hangs.
+_HANGING_COMPARE = """
+import os, signal, sys, time
+from pathlib import Path
+from qdportfolio import trainer
+from qdportfolio.generator import GeneratorConfig
+from qdportfolio.marketdata import synth_dataset, time_split
+
+signal.signal(signal.SIGINT, signal.default_int_handler)  # as in an interactive shell
+
+def hang(*args):
+    Path(sys.argv[1], str(os.getpid())).touch()
+    time.sleep(120)
+
+trainer.train_generator = trainer.train_baseline = hang
+panel, _ = synth_dataset(n_assets=5, n_days=60, k_sparse=2, noise_scale=0.001, seed=3)
+config = trainer.TrainConfig(generator=GeneratorConfig(n_assets=5), iterations=2, window=10)
+trainer.compare_optimizers(config, time_split(panel, 0.8))
+"""
+
+
+def _running(pid):
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")  # a zombie has ended; nothing may reap it here
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="workers end with their parent on Linux")
+@pytest.mark.parametrize("how", ["interrupt", "kill"])
+def test_compare_workers_end_with_an_interrupted_or_killed_caller(tmp_path, how):
+    marks = tmp_path / "workers"
+    marks.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(trainer.__file__).parents[1])}
+    caller = subprocess.Popen([sys.executable, "-c", _HANGING_COMPARE, str(marks)], env=env,
+                              start_new_session=True, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not any(marks.iterdir()) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        workers = [int(mark.name) for mark in marks.iterdir()]
+        assert workers, "no run started"
+        if how == "interrupt":  # Ctrl-C reaches the caller and its workers
+            os.killpg(caller.pid, signal.SIGINT)
+        else:
+            caller.kill()
+        caller.wait(timeout=30)  # an interrupt does not wait for the hanging runs
+        deadline = time.monotonic() + 30
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(caller.pid, signal.SIGKILL)
+        caller.wait()
+
+
 def test_compare_runs_baselines_at_the_config_hyper_with_the_baseline_rate():
     config = make_config(iterations=2, hyper=replace(GENERATOR_HYPER, beta1=0.5))
     result = compare_optimizers(config, make_data(), kinds=[OptimizerKind.ADAM])
@@ -485,6 +598,7 @@ def test_compare_records_failures(monkeypatch):
     assert failed[0].evaluations_used == 0
     assert result.rows[-1] is failed[0]          # failures sort last
     assert "rprop" not in result.artifacts
+    assert multiprocessing.active_children() == []
 
 
 def test_format_value():
