@@ -23,6 +23,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -729,11 +730,14 @@ def _compare_task(config: TrainConfig, data: SplitPanels, kind: OptimizerKind | 
     return train_baseline(kind, baseline_config, data)
 
 
-def _end_with_parent(parent: int) -> None:
-    """`compare_optimizers`' worker set-up: end at an interrupt, and with the parent.
+def _start_worker(parent: int) -> None:
+    """`compare_optimizers`' worker set-up: one BLAS thread, and end with the parent.
 
-    Otherwise an interrupted `compare` waits for every queued run, and a killed
-    one leaves forked workers blocked on the task queue for good.
+    The workers already fill every usable CPU; OpenBLAS's own threads, one
+    per CPU in each worker, made a compare 1.7-3.1x slower than one process.
+    A worker ends at Ctrl-C, as its caller does, and on Linux when its caller
+    is killed: otherwise a killed `compare` leaves forked workers blocked on
+    the task queue for good.
     """
     import ctypes
     import signal
@@ -742,11 +746,48 @@ def _end_with_parent(parent: int) -> None:
     if signal.getsignal(signal.SIGINT) is signal.default_int_handler:
         signal.signal(signal.SIGINT, signal.SIG_DFL)
     if sys.platform == "linux":
+        with open("/proc/self/maps") as maps:  # the OpenBLAS numpy loaded, if any
+            blas = {line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]}
+        for path in blas:
+            lib = ctypes.CDLL(path)
+            for name in ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                         "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_"):
+                if hasattr(lib, name):
+                    getattr(lib, name)(1)
         prctl = ctypes.CDLL(None).prctl
         prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
         prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG: killed when the parent ends
         if os.getppid() != parent:  # it ended before prctl took effect
             os._exit(1)
+
+
+def _in_workers(runs: list, order: list[int], workers: int) -> list:
+    """Start each of `runs`, picklable calls, in `workers` worker processes.
+
+    Workers take the runs in `order`. Returns, in the order of `runs`, a call
+    that gives each one's result or raises its error; a run whose worker died
+    raises `BrokenProcessPool`. No worker is left when this returns or raises.
+    """
+    # Imported here, not at module level: only this function starts processes,
+    # and every other entry point would pay their import time and memory.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, wait
+
+    # fork: the workers inherit the imported package instead of importing it again
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+    others = set(multiprocessing.active_children())
+    pool = ProcessPoolExecutor(workers, mp_context=context,
+                               initializer=_start_worker, initargs=(os.getpid(),))
+    try:
+        futures = {idx: pool.submit(runs[idx]) for idx in order}
+        wait(futures.values())
+    except BaseException:  # an interrupt ends the running runs too, not only the queued ones
+        pool.shutdown(wait=False, cancel_futures=True)
+        for worker in set(multiprocessing.active_children()) - others:
+            worker.kill()
+        raise
+    pool.shutdown()
+    return [futures[idx].result for idx in range(len(runs))]
 
 
 def compare_optimizers(
@@ -759,37 +800,37 @@ def compare_optimizers(
 
     Each run gets its own seed derived from the master seed and its task
     index.  The baselines run at `config.hyper` with `baseline_rate` as
-    their learning rate.  The runs are independent, so they run in worker
-    processes, one per usable CPU at most; each computes what it would in
-    this process.  A failed run, or one whose worker died, is recorded as
-    failed with its error message, never dropped.  Rows are sorted by best
-    validation MSE, failures last.
+    their learning rate.  The runs are independent, so where more than one
+    CPU is usable they run in worker processes, one per CPU at most, each
+    on one BLAS thread; on one CPU each runs here.  Either way a run computes
+    what it would in a process on one CPU.  A failed run, or one whose worker
+    died, is recorded as failed with its error message, never dropped.  Rows
+    are sorted by best validation MSE, failures last.
     """
-    # Imported here, not at module level: only this function starts processes,
-    # and every other entry point would pay their import time and memory.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     ordered = list(dict.fromkeys(OptimizerKind(kind) for kind in kinds))
     tasks = [*ordered, None]  # None: the proposed generator
     seeds = [int(np.random.SeedSequence([config.seed, idx]).generate_state(1)[0])
              for idx in range(len(tasks))]
+    runs = [partial(_compare_task, config, data, kind, run_seed, baseline_rate)
+            for kind, run_seed in zip(tasks, seeds)]
     # the CPUs this process may run on; not every platform can say
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    # fork: the workers inherit the imported package and its BLAS set-up
-    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
-    with ProcessPoolExecutor(min(len(tasks), cpus), mp_context=context,
-                             initializer=_end_with_parent, initargs=(os.getpid(),)) as pool:
-        # the generator and CMA-ES, the longest runs, go first
-        futures = [pool.submit(_compare_task, config, data, kind, run_seed, baseline_rate)
-                   for kind, run_seed in zip(tasks[::-1], seeds[::-1])][::-1]
-    # the pool has shut down: every run has finished or failed, and no worker is left
+    if min(len(runs), cpus) > 1:
+        # The generator, then CMA-ES, run longest (0.82 s and 0.41 s of the
+        # 1.7 s that a 100-asset, 100-iteration compare takes in one process).
+        # Started first, they do not end the call alone after the short runs:
+        # on two CPUs that compare took 0.71 s against 0.80 s in task order.
+        order = sorted(range(len(tasks)), key=lambda idx: (tasks[idx] is not None,
+                                                           tasks[idx] is not OptimizerKind.CMAES))
+        runs = _in_workers(runs, order, min(len(runs), cpus))
+    # on one CPU each run is called here, in task order: a worker would run
+    # nothing beside this process and only add its fork and the pickling
     rows: list[ComparisonRow] = []
     artifacts: dict[str, RunArtifacts] = {}
-    for kind, run_seed, future in zip(tasks, seeds, futures):
+    for kind, run_seed, run in zip(tasks, seeds, runs):
         label = "proposed" if kind is None else kind.value
         try:
-            art = future.result()
+            art = run()
         except Exception as e:  # a failed run, or a dead worker, is recorded, not raised
             rows.append(
                 ComparisonRow(

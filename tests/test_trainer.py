@@ -465,7 +465,13 @@ def test_repeated_runs_in_one_process_are_bit_identical(tmp_path):
     assert first == second
 
 
-def test_each_compare_worker_computes_what_one_process_computes(tmp_path):
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """compare_optimizers starts its worker processes even where one CPU is usable."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def test_each_compare_worker_computes_what_one_process_computes(tmp_path, two_cpus):
     data = make_data()
     config = make_config(iterations=4, eval_every=2)
     result = compare_optimizers(config, data)
@@ -493,7 +499,7 @@ def test_each_compare_worker_computes_what_one_process_computes(tmp_path):
         assert pooled.config == direct.config, label
 
 
-def test_compare_records_a_worker_that_dies(monkeypatch):
+def test_compare_records_a_worker_that_dies(monkeypatch, two_cpus):
     real = trainer.train_baseline
 
     def dying(kind, config, data):
@@ -513,6 +519,26 @@ def test_compare_records_a_worker_that_dies(monkeypatch):
         assert (row.status == "ok") == (row.optimizer in result.artifacts)
 
 
+def test_compare_on_one_cpu_calls_each_run_here_and_computes_the_same(monkeypatch, two_cpus):
+    config, data = make_config(iterations=4, eval_every=2), make_data()
+    pooled = compare_optimizers(config, data)
+    callers = []
+    real = trainer._compare_task
+
+    def here(*args):
+        callers.append(os.getpid())
+        return real(*args)
+
+    monkeypatch.setattr(trainer, "_compare_task", here)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    alone = compare_optimizers(config, data)
+    assert callers == [os.getpid()] * 11  # no worker: nothing would run beside this process
+    assert alone.rows == pooled.rows
+    for label, art in pooled.artifacts.items():
+        assert alone.artifacts[label].losses == art.losses, label
+        assert canon(alone.artifacts[label].best_checkpoint) == canon(art.best_checkpoint), label
+
+
 # Every run of a compare marks its worker with a file named by its pid, then hangs.
 _HANGING_COMPARE = """
 import os, signal, sys, time
@@ -522,6 +548,7 @@ from qdportfolio.generator import GeneratorConfig
 from qdportfolio.marketdata import synth_dataset, time_split
 
 signal.signal(signal.SIGINT, signal.default_int_handler)  # as in an interactive shell
+os.sched_getaffinity = lambda pid: {0, 1}  # workers even where one CPU is usable
 
 def hang(*args):
     Path(sys.argv[1], str(os.getpid())).touch()
@@ -543,7 +570,7 @@ def _running(pid):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="workers end with their parent on Linux")
-@pytest.mark.parametrize("how", ["interrupt", "kill"])
+@pytest.mark.parametrize("how", ["interrupt", "interrupt_caller_only", "kill"])
 def test_compare_workers_end_with_an_interrupted_or_killed_caller(tmp_path, how):
     marks = tmp_path / "workers"
     marks.mkdir()
@@ -558,6 +585,8 @@ def test_compare_workers_end_with_an_interrupted_or_killed_caller(tmp_path, how)
         assert workers, "no run started"
         if how == "interrupt":  # Ctrl-C reaches the caller and its workers
             os.killpg(caller.pid, signal.SIGINT)
+        elif how == "interrupt_caller_only":  # as a notebook kernel's interrupt
+            os.kill(caller.pid, signal.SIGINT)
         else:
             caller.kill()
         caller.wait(timeout=30)  # an interrupt does not wait for the hanging runs
