@@ -252,15 +252,16 @@ def write_text(path: str | Path, text: str) -> None:
 
 
 def write_prices(table: PriceTable, path: str | Path) -> None:
-    """Write a price table back to the wide CSV format at full precision."""
+    """Write a price table back to the wide CSV format at full precision.
+
+    Only the header needs `csv.writer`'s quoting: a positive finite float's
+    `repr` holds no comma, quote or line break.  Rows convert one at a time,
+    so no float list of the whole table is held.
+    """
     buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["date", table.index_name, *table.tickers])
-    for i, day in enumerate(table.dates):
-        writer.writerow(
-            [day.isoformat(), repr(float(table.index_prices[i]))]
-            + [repr(float(v)) for v in table.prices[i]]
-        )
+    csv.writer(buffer).writerow(["date", table.index_name, *table.tickers])
+    for day, index_price, row in zip(table.dates, table.index_prices.tolist(), table.prices):
+        buffer.write(f"{day.isoformat()},{index_price!r},{','.join(map(repr, row.tolist()))}\r\n")
     write_text(path, buffer.getvalue())
 
 

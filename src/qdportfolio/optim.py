@@ -274,6 +274,12 @@ class CmaesResult:
     best_f: float
     generations: list[CmaesGeneration]
     evaluations: int
+    stop: str  # "maxiter": every generation ran; "tolconditioncov": C's condition passed the limit
+
+
+# Hansen's `tolconditioncov` (arXiv 1604.00772): past this condition number
+# the covariance is numerically singular, and positive definiteness goes next
+_CMAES_MAX_CONDITION = 1e14
 
 
 def cmaes_run(
@@ -290,7 +296,9 @@ def cmaes_run(
     covariance updates and cumulative step-size adaptation; all learning
     constants are the standard default formulas in the dimension and the
     population size.  The covariance is eigendecomposed every generation,
-    which also verifies it stays positive definite.
+    which also verifies it stays positive definite.  The run stops early,
+    with its best so far, when that decomposition finds the condition
+    number of C above `_CMAES_MAX_CONDITION`, as the reference stops.
     """
     if dim < 1:
         raise OptimError("dimension must be positive")
@@ -325,6 +333,7 @@ def cmaes_run(
     best_f = np.inf
     generations: list[CmaesGeneration] = []
     evaluations = 0
+    stop = "maxiter"
 
     for g in range(1, iterations + 1):
         t0 = time.monotonic()
@@ -333,6 +342,9 @@ def cmaes_run(
         min_eig = float(eigvals.min())
         if min_eig <= 0 or not np.all(np.isfinite(eigvals)):
             raise OptimError(f"covariance lost positive definiteness at generation {g}")
+        if eigvals.max() > _CMAES_MAX_CONDITION * min_eig:  # never at g = 1, where C = I
+            stop = "tolconditioncov"
+            break
         scales = np.sqrt(eigvals)
 
         z = rng.standard_normal((lam, n))
@@ -384,5 +396,5 @@ def cmaes_run(
         )
 
     return CmaesResult(
-        best_x=best_x, best_f=best_f, generations=generations, evaluations=evaluations
+        best_x=best_x, best_f=best_f, generations=generations, evaluations=evaluations, stop=stop
     )

@@ -526,14 +526,17 @@ class _RunRecord:
         self.best_iteration, self.best_mse = best_iteration, best_mse  # a resumed snapshot's best
         self.losses, self.evals, self.wall_clock = [], [], []  # LossReport, EvalRecord, seconds
 
-    def record(self, i: int, loss: obj.LossReport, population, started: float) -> bool:
+    def record(self, i: int, loss: obj.LossReport, population, started: float,
+               last: bool = False) -> bool:
         """Keep iteration `i`; validate `population()` on the cadence.  True at a new best.
 
-        `started` is the `time.monotonic()` at which the iteration began.
+        `started` is the `time.monotonic()` at which the iteration began.  The
+        last iteration is validated too: `config.iterations`, or an earlier
+        one marked `last` where the run stops early.
         """
         self.losses.append(loss)
         best = False
-        if i % self.config.eval_every == 0 or i == self.config.iterations:
+        if last or i % self.config.eval_every == 0 or i == self.config.iterations:
             report = ens.evaluate_population(
                 population(), self.validation, bag_mode=self.config.bag_mode
             )
@@ -657,10 +660,10 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
     run = _RunRecord(config, data.validation)
     best_logits = np.zeros(n)
 
-    def record(i: int, logits: np.ndarray, mse: float, started: float) -> None:
+    def record(i: int, logits: np.ndarray, mse: float, started: float, last: bool = False) -> None:
         nonlocal best_logits
         loss = obj.LossReport(tracking_mse=mse, max_corr=0.0, total=mse, window_start=0)
-        if run.record(i, loss, lambda: gen.sparse_population(logits), started):
+        if run.record(i, loss, lambda: gen.sparse_population(logits), started, last):
             best_logits = logits.copy()
 
     if kind is OptimizerKind.CMAES:
@@ -683,8 +686,11 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
             seed=seed,
             sigma0=config.hyper.cmaes_sigma0,
         )
+        # before config.iterations when the run stopped on C's condition number
+        last = result.generations[-1].generation
         for g in result.generations:  # timed as the generation's own work plus its validation
-            record(g.generation, g.best_x, g.best_f, time.monotonic() - g.seconds)
+            record(g.generation, g.best_x, g.best_f, time.monotonic() - g.seconds,
+                   last=g.generation == last)
         logits = result.generations[-1].best_x
         evaluations_used = result.evaluations
     else:
@@ -702,10 +708,10 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
                 record(i, logits, float(loss.value), t0)
             except (dc.NonFiniteError, OptimError) as e:
                 raise TrainError(f"iteration {i}: {e}") from e
-        evaluations_used = config.iterations
+        last = evaluations_used = config.iterations
 
     art = run.artifacts(
-        _baseline_payload(config, kind, config.iterations, logits, run, best_logits),
+        _baseline_payload(config, kind, last, logits, run, best_logits),
         _baseline_payload(config, kind, run.best_iteration, best_logits, run, best_logits),
         evaluations_used=evaluations_used,
     )

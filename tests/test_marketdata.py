@@ -1,8 +1,10 @@
 """Price ingestion, return math, splits, windows and synthetic data."""
 import csv
+import io
 import math
 import pickle
 from datetime import date as Date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from qdportfolio.marketdata import (
     DataError,
+    PriceTable,
     compute_log_returns,
     load_prices,
     panel_to_prices,
@@ -272,6 +275,46 @@ def test_write_then_load_round_trips_exactly(tmp_path):
     assert again.tickers == table.tickers
     np.testing.assert_array_equal(again.prices, table.prices)
     np.testing.assert_array_equal(again.index_prices, table.index_prices)
+
+
+FIXTURE_PRICES = Path(__file__).parent / "data" / "checkpoint_v1" / "prices.csv"
+
+
+def _reference_write_prices(table):
+    """The writer `write_prices` replaced, one `csv.writer` row per date, kept as its oracle."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["date", table.index_name, *table.tickers])
+    for i, day in enumerate(table.dates):
+        writer.writerow(
+            [day.isoformat(), repr(float(table.index_prices[i]))]
+            + [repr(float(v)) for v in table.prices[i]]
+        )
+    return buffer.getvalue()
+
+
+def test_write_prices_reproduces_the_fixture_byte_for_byte(tmp_path):
+    out = tmp_path / "prices.csv"
+    write_prices(load_prices(FIXTURE_PRICES, "INDEX"), out)
+    assert out.read_bytes() == FIXTURE_PRICES.read_bytes()
+
+
+def test_write_prices_equals_the_csv_writer_loop_at_repr_edges(tmp_path):
+    edges = [5e-324, 1e-05, 0.0001, 1e16, 1.7976931348623157e308]
+    table = PriceTable(
+        dates=(Date(2020, 1, 2), Date(2020, 1, 3), Date(2020, 1, 6)),
+        tickers=("A,1", 'B"2', "plain"),
+        prices=np.array([edges[:3], edges[2:], [0.1, 100.0, 2.5]]),
+        index_name="IDX",
+        index_prices=np.array([edges[0], edges[-1], 123.456]),
+    )
+    out = tmp_path / "prices.csv"
+    write_prices(table, out)
+    assert out.read_bytes() == _reference_write_prices(table).encode("utf-8")
+    again = load_prices(out, "IDX")
+    assert again.dates == table.dates and again.tickers == table.tickers
+    assert again.prices.tobytes() == table.prices.tobytes()
+    assert again.index_prices.tobytes() == table.index_prices.tobytes()
 
 
 def test_compute_log_returns_oracle(tmp_path):

@@ -238,6 +238,23 @@ def test_cmaes_deterministic_in_seed():
     assert a.best_f != c.best_f
 
 
+def test_cmaes_stops_when_the_covariance_condition_passes_its_limit():
+    # x[1] and x[2] are flat, so C grows along them until cond(C) > 1e14;
+    # without the stop, positive definiteness is lost at generation 2358
+    obj = lambda x: float(x[0] ** 2)
+    result = cmaes_run(obj, dim=3, popsize=8, iterations=3000, seed=0)
+    n = len(result.generations)
+    assert result.stop == "tolconditioncov"
+    assert 1 < n < 3000
+    assert [g.generation for g in result.generations] == list(range(1, n + 1))
+    assert result.evaluations == 8 * n
+    assert result.best_f == min(g.best_f for g in result.generations)
+    # a run that ends before the limit follows the same trajectory
+    short = cmaes_run(obj, dim=3, popsize=8, iterations=n // 2, seed=0)
+    assert short.stop == "maxiter"
+    assert [g.best_f for g in short.generations] == [g.best_f for g in result.generations[: n // 2]]
+
+
 def test_cmaes_argument_validation():
     obj = lambda x: 0.0
     with pytest.raises(OptimError):

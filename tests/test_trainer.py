@@ -175,6 +175,20 @@ def test_cmaes_baseline_times_each_generation():
     assert len(set(run.wall_clock)) > 1  # not the run's total spread evenly
 
 
+def test_cmaes_baseline_ends_at_the_generation_where_cmaes_stopped():
+    # at these sizes cond(C) passes its limit near generation 660; without the
+    # stop, positive definiteness is lost at generation 802
+    config = make_config(iterations=1000, eval_every=50)
+    run = train_baseline(OptimizerKind.CMAES, config, make_data())
+    last = len(run.losses)
+    assert last < config.iterations and last % config.eval_every != 0
+    assert len(run.wall_clock) == last
+    assert [e.iteration for e in run.evals] == [*range(50, last, 50), last]
+    assert run.final_checkpoint["iteration"] == last
+    assert run.evaluations_used == GEN.population * last
+    assert run.best_checkpoint["best"]["iteration"] == run.best_iteration
+
+
 def test_resume_is_bit_identical_to_uninterrupted():
     data = make_data()
     full = train_generator(make_config(iterations=8), data)

@@ -11,14 +11,15 @@ file that holds wall-clock times, is skipped.  The script prints each
 differing file, then `identical N, different M, timing.csv skipped K`,
 and exits 1 when M > 0.
 
-The corpus: a 12-asset, 300-day `synth`; `train` for 30 iterations at
-learning rates 0.01 and 0.3 with `--window 60`; `train` for 15 iterations,
-then `--resume` to 30, once at the default cadence and once with
-`eval_every=30` (the benchmark's resume shape: both runs end at their best,
-so each writes a `checkpoint.final` without a nested best); `eval` of the
-best checkpoint, and of the final one with `--eval-seed 7`; `plot`;
-`compare --iterations 12` plus `eval` of its cmaes and rprop best
-checkpoints; `compare --train-fraction 0.7`; and the
+The corpus: a 12-asset, 300-day `synth`; `ingest` of its prices and of
+the fixture's, so both callers of the price writer are compared; `train`
+for 30 iterations at learning rates 0.01 and 0.3 with `--window 60`;
+`train` for 15 iterations, then `--resume` to 30, once at the default
+cadence and once with `eval_every=30` (the benchmark's resume shape: both
+runs end at their best, so each writes a `checkpoint.final` without a
+nested best); `eval` of the best checkpoint, and of the final one with
+`--eval-seed 7`; `plot`; `compare --iterations 12` plus `eval` of its
+cmaes and rprop best checkpoints; `compare --train-fraction 0.7`; and the
 `tests/data/checkpoint_v1` fixture through `eval` and `--resume`.  Each
 command's exit code and stdout are kept in `commands.txt`, which is
 compared like any other file.  The stderr of the documented failures is
@@ -56,6 +57,8 @@ def _corpus() -> list[tuple[str, list[str]]]:
 
     return [
         ("synth", ["synth", "--assets", "12", "--days", "300", "--out", "synth"]),
+        ("ingest_synth", ["ingest", *data, "--out", "ingest_synth"]),
+        ("ingest_v1", ["ingest", *v1, "--out", "ingest_v1"]),
         ("train_lr_0.01", train(30, "--config", "../lr_0.01.config", "--out", "lr_0.01")),
         ("train_lr_0.3", train(30, "--config", "../lr_0.3.config", "--out", "lr_0.3")),
         ("train_half", train(15, "--out", "half")),
