@@ -265,13 +265,14 @@ def _cmd_eval(args) -> int:
             f"data has {validation.n_assets}"
         )
     report = ens.evaluate_population(population, validation, bag_mode=config.bag_mode)
+    ens_eval = ens.evaluate(report.ensemble_weights, validation)
 
     kind = payload["kind"]
     if kind == "baseline":
         kind = f"baseline:{payload.get('optimizer', '?')}"
     trainer.write_config({
         "ensemble_mse": report.ensemble_mse,
-        "ensemble_l2": report.ensemble_l2,
+        "ensemble_l2": ens_eval.l2_norm,
         "mean_sub_mse": report.mean_sub_mse,
         "max_corr": report.max_corr,
         "support_size": report.support_size,
@@ -286,7 +287,7 @@ def _cmd_eval(args) -> int:
         (day.isoformat(), index, ensemble, *subs)
         for day, index, ensemble, subs in zip(
             validation.dates, validation.index_returns.tolist(),
-            ens.evaluate(report.ensemble_weights, validation).returns.tolist(),
+            ens_eval.returns.tolist(),
             ens.member_returns(population.weights, validation).T.tolist(),
         )
     ))

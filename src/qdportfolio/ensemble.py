@@ -58,9 +58,7 @@ class EvalReport:
     """
 
     ensemble_mse: float
-    ensemble_l2: float
     mean_sub_mse: float
-    sub_mse: tuple[float, ...]
     max_corr: float
     support_size: int
     ensemble_weights: np.ndarray
@@ -131,9 +129,7 @@ def evaluate_population(
         max_corr = 0.0
     return EvalReport(
         ensemble_mse=ens_eval.mse,
-        ensemble_l2=ens_eval.l2_norm,
         mean_sub_mse=float(np.mean(sub_mse)),
-        sub_mse=tuple(sub_mse.tolist()),
         max_corr=max_corr,
         support_size=ensemble.support_size,
         ensemble_weights=ensemble.weights,

@@ -127,12 +127,11 @@ class GeneratorState:
 
     h: np.ndarray  # (B, H)
     c: np.ndarray  # (B, H)
-    iteration: int = 0
 
     @classmethod
     def zeros(cls, config: GeneratorConfig) -> "GeneratorState":
         shape = (config.population, config.lstm_hidden)
-        return cls(h=np.zeros(shape), c=np.zeros(shape), iteration=0)
+        return cls(h=np.zeros(shape), c=np.zeros(shape))
 
 
 @dataclass
@@ -233,7 +232,7 @@ def forward(
         )
     else:
         population = sparse_population(logits.value)
-    new_state = GeneratorState(h=h_new.value, c=c_new.value, iteration=state.iteration + 1)
+    new_state = GeneratorState(h=h_new.value, c=c_new.value)
     return ForwardResult(population=population, state=new_state, param_nodes=pnodes)
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "PriceTable",
     "ReturnPanel",
     "SplitPanels",
-    "WindowSample",
     "load_prices",
     "write_prices",
     "write_text",
@@ -140,15 +139,6 @@ class SplitPanels:
 
     train: ReturnPanel
     validation: ReturnPanel
-
-
-@dataclass(frozen=True)
-class WindowSample:
-    """A contiguous slice of a return panel used as one training window."""
-
-    start: int
-    returns: np.ndarray        # (W, N)
-    index_returns: np.ndarray  # (W,)
 
 
 # Reads price lines, splitting and unquoting them as csv.reader does.
@@ -307,8 +297,8 @@ def time_split(panel: ReturnPanel, fraction: float) -> SplitPanels:
     )
 
 
-def sample_window(panel: ReturnPanel, length: int, rng: np.random.Generator) -> WindowSample:
-    """Draw one contiguous window with a uniformly random start."""
+def sample_window(panel: ReturnPanel, length: int, rng: np.random.Generator) -> ReturnPanel:
+    """Draw one contiguous run of `length` rows with a uniformly random start."""
     if length < 2:
         raise DataError(f"window length must be at least 2, got {length}")
     if length > panel.n_rows:
@@ -316,11 +306,7 @@ def sample_window(panel: ReturnPanel, length: int, rng: np.random.Generator) -> 
             f"window length {length} exceeds available rows {panel.n_rows}"
         )
     start = int(rng.integers(0, panel.n_rows - length + 1))
-    return WindowSample(
-        start=start,
-        returns=panel.returns[start : start + length],
-        index_returns=panel.index_returns[start : start + length],
-    )
+    return panel.slice_rows(start, start + length)
 
 
 def synth_dataset(

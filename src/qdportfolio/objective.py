@@ -14,7 +14,7 @@ import numpy as np
 
 from . import diffcore as dc
 from . import generator as gen
-from .marketdata import ReturnPanel, WindowSample
+from .marketdata import ReturnPanel
 
 __all__ = [
     "LossConfig",
@@ -61,7 +61,6 @@ class LossReport:
     tracking_mse: float
     max_corr: float
     total: float
-    window_start: int
 
 
 @dataclass
@@ -72,7 +71,7 @@ class TotalLossResult:
     new_state: gen.GeneratorState
 
 
-def portfolio_returns(weights, window: WindowSample | ReturnPanel) -> dc.Node:
+def portfolio_returns(weights, window: ReturnPanel) -> dc.Node:
     """Daily return series of each sub-portfolio over one window.
 
     Row i is the weighted sum of asset log returns under weights[i]; this
@@ -160,7 +159,7 @@ def total_loss(
     params: gen.GeneratorParams,
     state: gen.GeneratorState,
     noise: np.ndarray,
-    window: WindowSample,
+    window: ReturnPanel,
     config: LossConfig,
     rng: np.random.Generator | None = None,
 ) -> TotalLossResult:
@@ -185,7 +184,6 @@ def total_loss(
         tracking_mse=float(track.value),
         max_corr=float(corr.value),
         total=float(loss.value),
-        window_start=window.start,
     )
     return TotalLossResult(
         loss=loss,

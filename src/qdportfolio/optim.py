@@ -263,7 +263,6 @@ class CmaesGeneration:
     generation: int
     best_f: float
     best_x: np.ndarray
-    sigma: float
     min_eigenvalue: float
     seconds: float  # wall clock of this generation
 
@@ -389,7 +388,6 @@ def cmaes_run(
                 generation=g,
                 best_f=float(f[gen_best]),
                 best_x=x[gen_best].copy(),
-                sigma=sigma,
                 min_eigenvalue=min_eig,
                 seconds=time.monotonic() - t0,
             )

@@ -340,9 +340,15 @@ def load_checkpoint(path: str | Path) -> dict:
         raise DataError(
             f"unsupported checkpoint format_version {version!r} (expected one of {_READABLE_VERSIONS})"
         )
-    missing = [name for name in _CHECKPOINT_FIELDS.get(payload.get("kind"), ()) if name not in payload]
+    required = _CHECKPOINT_FIELDS.get(payload.get("kind"), ())
+    missing = [name for name in required if name not in payload]
     if missing:
         raise DataError(f"checkpoint {path} lacks field: {', '.join(missing)}")
+    if required and not isinstance(payload["config"], dict):
+        raise DataError(f"malformed checkpoint {path}: config is not a JSON object")
+    iteration = payload.get("iteration")
+    if required and (type(iteration) is not int or iteration < 0):  # true and false are refused
+        raise DataError(f"malformed checkpoint {path}: iteration {iteration!r} is not an integer >= 0")
     return payload
 
 
@@ -402,11 +408,7 @@ class _Snapshot:
             "config": config_to_flat(config),
             "iteration": self.iteration,
             "params": {name: pack_array(arr) for name, arr in params.as_dict().items()},
-            "state": {
-                "h": pack_array(self.state.h),
-                "c": pack_array(self.state.c),
-                "iteration": self.state.iteration,
-            },
+            "state": {"h": pack_array(self.state.h), "c": pack_array(self.state.c)},
             "optimizer": {
                 "kind": self.optimizer.kind.value,
                 "step": self.optimizer.step,
@@ -443,7 +445,6 @@ class _Snapshot:
                 state=gen.GeneratorState(
                     h=_unpack_as(payload["state"]["h"], "state.h", rows),
                     c=_unpack_as(payload["state"]["c"], "state.c", rows),
-                    iteration=int(payload["state"]["iteration"]),
                 ),
                 optimizer=OptimizerState(
                     kind=kind,
@@ -630,7 +631,7 @@ def train_generator(
 # baselines
 
 def _baseline_payload(config: TrainConfig, kind: OptimizerKind, iteration: int,
-                      logits: np.ndarray, run: _RunRecord, best_logits: np.ndarray) -> dict:
+                      logits: np.ndarray, run: _RunRecord) -> dict:
     return {
         "format_version": CHECKPOINT_VERSION,
         "kind": "baseline",
@@ -638,11 +639,7 @@ def _baseline_payload(config: TrainConfig, kind: OptimizerKind, iteration: int,
         "config": config_to_flat(config),
         "iteration": iteration,
         "logits": pack_array(logits),
-        "best": {
-            "iteration": run.best_iteration,
-            "validation_mse": run.best_mse,
-            "logits": pack_array(best_logits),
-        },
+        "best": {"iteration": run.best_iteration, "validation_mse": run.best_mse},
     }
 
 
@@ -662,7 +659,7 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
 
     def record(i: int, logits: np.ndarray, mse: float, started: float, last: bool = False) -> None:
         nonlocal best_logits
-        loss = obj.LossReport(tracking_mse=mse, max_corr=0.0, total=mse, window_start=0)
+        loss = obj.LossReport(tracking_mse=mse, max_corr=0.0, total=mse)
         if run.record(i, loss, lambda: gen.sparse_population(logits), started, last):
             best_logits = logits.copy()
 
@@ -711,8 +708,8 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
         last = evaluations_used = config.iterations
 
     art = run.artifacts(
-        _baseline_payload(config, kind, last, logits, run, best_logits),
-        _baseline_payload(config, kind, run.best_iteration, best_logits, run, best_logits),
+        _baseline_payload(config, kind, last, logits, run),
+        _baseline_payload(config, kind, run.best_iteration, best_logits, run),
         evaluations_used=evaluations_used,
     )
     art.config["optimizer"] = kind.value  # a CMA-ES config holds a gradient rule in its place

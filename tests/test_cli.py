@@ -459,6 +459,7 @@ _CHECKPOINT_FAULTS = {
     "bad_bool": (lambda payload: payload["config"].update(corruption="maybe"), "corruption"),
     "unset_rate": (lambda payload: payload["config"].update(learning_rate=None), "learning_rate"),
     "text_iteration": (lambda payload: payload.update(iteration="x"), "malformed checkpoint"),
+    "bool_iteration": (lambda payload: payload.update(iteration=True), "malformed checkpoint"),
     "null_step": (lambda payload: payload["optimizer"].update(step=None), "malformed checkpoint"),
     "bad_rng": (lambda payload: payload["rng"].update(noise={"state": 5}), "malformed checkpoint"),
     # well-formed arrays that do not fit the configuration stored beside them
@@ -608,6 +609,38 @@ def test_resume_from_checkpoint_without_its_best_exits_2(workspace, tmp_path, ca
     assert "best_state" in capsys.readouterr().err
 
 
+def test_checkpoints_holding_dropped_keys_read_as_before(workspace, tmp_path, capsys):
+    """Older checkpoints also stored `state.iteration`, and a baseline's best its logits."""
+    config = tmp_path / "fast.config"
+    config.write_text(SMALL_ARCH + "learning_rate=0.3\n")
+    base = ["train", "--data", str(workspace["prices"]), "--config", str(config)]
+    assert main(base + ["--iterations", "3", "--out", str(tmp_path / "part")]) == 0
+    generator = tmp_path / "part" / "checkpoint.final"
+    payload = json.loads(generator.read_text())
+    assert "best_state" in payload and "iteration" not in payload["state"]
+    for snapshot in (payload, payload["best_state"]):
+        snapshot["state"]["iteration"] = snapshot["iteration"]
+    old_generator = tmp_path / "old_generator.checkpoint"
+    old_generator.write_text(json.dumps(payload))
+    baseline = Path(_rprop_checkpoint(workspace, tmp_path)).with_name("checkpoint.best")
+    payload = json.loads(baseline.read_text())
+    assert "logits" not in payload["best"]
+    payload["best"]["logits"] = payload["logits"]
+    old_baseline = tmp_path / "old_baseline.checkpoint"
+    old_baseline.write_text(json.dumps(payload))
+    runs = {"resumed": (base + ["--iterations", "6", "--resume"], generator, old_generator),
+            "eval": (["eval", "--data", str(workspace["prices"])], baseline, old_baseline)}
+    for command, (argv, *checkpoints) in runs.items():
+        new, old = tmp_path / f"{command}_new", tmp_path / f"{command}_old"
+        for checkpoint, out in zip(checkpoints, (new, old)):
+            assert main(argv + [str(checkpoint), "--out", str(out)]) == 0
+        names = {p.name for p in new.iterdir()}
+        assert names == {p.name for p in old.iterdir()}
+        for name in sorted(names - {"timing.csv"}):
+            assert (new / name).read_bytes() == (old / name).read_bytes(), (command, name)
+    capsys.readouterr()
+
+
 def test_every_written_file_is_moved_into_place(workspace, tmp_path, capsys, monkeypatch):
     moved = []
     real_replace = os.replace
@@ -705,6 +738,15 @@ def _overflowing_checkpoint(ws, tmp, **values):
 def _series_csv(tmp, text):
     path = tmp / "series.csv"
     path.write_text(text)
+    return str(path)
+
+
+def _edited_checkpoint(source, tmp, **values):
+    """A copy of the checkpoint at `source` with the given top-level values."""
+    payload = json.loads(Path(source).read_text())
+    payload.update(values)
+    path = tmp / "edited.checkpoint"
+    path.write_text(json.dumps(payload))
     return str(path)
 
 
@@ -849,6 +891,22 @@ _DOCUMENTED_FAILURES = {
         lambda ws, tmp: ["eval", str(ws["run"] / "checkpoint.best"), "--data", _other_assets(tmp),
                          "--out", str(tmp / "out")],
         2, "data", "checkpoint expects 5 assets, data has 6",
+    ),
+    "eval_config_not_an_object": (
+        lambda ws, tmp: ["eval", _edited_checkpoint(ws["run"] / "checkpoint.best", tmp, config=5),
+                         "--data", str(ws["prices"]), "--out", str(tmp / "out")],
+        2, "data", "config is not a JSON object",
+    ),
+    "resume_config_null": (
+        lambda ws, tmp: _train(ws, tmp, "--iterations", "6", "--resume",
+                               _edited_checkpoint(ws["run"] / "checkpoint.best", tmp, config=None)),
+        2, "data", "config is not a JSON object",
+    ),
+    "eval_baseline_text_iteration": (
+        lambda ws, tmp: ["eval", _edited_checkpoint(V1_FIXTURE / "baseline.checkpoint", tmp,
+                                                    iteration="abc"),
+                         "--data", str(V1_FIXTURE / "prices.csv"), "--out", str(tmp / "out")],
+        2, "data", "iteration 'abc' is not an integer >= 0",
     ),
     "eval_nan_logits": (
         lambda ws, tmp: ["eval", _nan_baseline_logits(tmp), "--data", str(V1_FIXTURE / "prices.csv"),

@@ -199,7 +199,6 @@ def test_forward_train_mode_softmax_rows():
     assert pop.weights.min() > 0.0
     assert pop.weights_node is not None
     np.testing.assert_array_equal(pop.weights_node.value, pop.weights)
-    assert result.state.iteration == 1
 
 
 def test_forward_eval_mode_sparsemax_rows():
@@ -236,7 +235,6 @@ def test_state_carries_across_iterations():
     # same noise, same params: only the recurrent state changed
     assert np.max(np.abs(second.population.logits - first.population.logits)) > 1e-8
     assert not np.array_equal(first.state.h, state.h)
-    assert second.state.iteration == 2
     # resetting the state reproduces the first output exactly
     again = forward(params, GeneratorState.zeros(TINY), noise, mode="train")
     np.testing.assert_array_equal(again.population.logits, first.population.logits)

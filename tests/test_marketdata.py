@@ -354,14 +354,15 @@ def test_sample_window_bounds_and_golden_sequence():
     panel, _ = synth_dataset(n_assets=4, n_days=101, k_sparse=2, noise_scale=0.0, seed=11)
     assert panel.n_rows == 101
     rng = np.random.default_rng(7)
-    starts = [sample_window(panel, 60, rng).start for _ in range(4)]
+    starts = [panel.dates.index(sample_window(panel, 60, rng).dates[0]) for _ in range(4)]
     # frozen draw for rows=101, length=60, default_rng(7)
     assert starts == [39, 26, 28, 37]
     w = sample_window(panel, 60, np.random.default_rng(7))
     np.testing.assert_array_equal(w.returns, panel.returns[39:99])
     np.testing.assert_array_equal(w.index_returns, panel.index_returns[39:99])
+    assert w.dates == panel.dates[39:99] and w.tickers == panel.tickers
     full = sample_window(panel, 101, np.random.default_rng(0))
-    assert full.start == 0
+    assert full.dates == panel.dates
     with pytest.raises(DataError):
         sample_window(panel, 102, np.random.default_rng(0))
     with pytest.raises(DataError):

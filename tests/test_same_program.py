@@ -1,4 +1,5 @@
-"""`tools/same_program.py`'s corpus, run twice on this checkout, writes the same bytes."""
+"""`tools/same_program.py`: its corpus, run twice on this checkout, writes the same bytes,
+and it names the keys at which two JSON files differ."""
 import importlib.util
 from pathlib import Path
 
@@ -17,3 +18,17 @@ def test_corpus_is_byte_identical_across_process_trees(tmp_path):
     identical, different, skipped = same_program.compare_trees(first, second)
     assert different == []
     assert skipped > 0 and "commands.txt" in identical
+
+
+def test_json_key_diff_names_the_differing_paths(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.write_text('{"iteration": 3, "state": {"h": [1, 2], "iteration": 3}, "best": {"x": 1}}')
+    new.write_text('{"iteration": 3, "state": {"h": [1, 5]}, "best": {"x": 1}, "data": null}')
+    assert same_program.json_key_diff(old, new) == ["data", "state.h", "state.iteration"]
+    table = tmp_path / "loss.csv"
+    table.write_text("iteration,total\n1,0.5\n")
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2]")
+    assert same_program.json_key_diff(old, table) == []
+    assert same_program.json_key_diff(array, old) == []
+    assert same_program.json_key_diff(old, tmp_path / "absent") == []

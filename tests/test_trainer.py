@@ -146,7 +146,7 @@ def test_train_generator_bookkeeping():
     assert run.best_validation_mse == best.report.ensemble_mse
     assert run.best_iteration == best.iteration
     assert run.best_checkpoint["best"]["iteration"] == best.iteration
-    assert run.final_checkpoint["state"]["iteration"] == 6
+    assert run.final_checkpoint["iteration"] == 6
 
 
 _RUN_KINDS = {
@@ -310,7 +310,7 @@ def test_checkpoint_file_round_trip(tmp_path):
     assert canon(loaded) == canon(run.final_checkpoint)
     config, population = checkpoint_population(loaded, None)
     assert config == config_from_flat(config_to_flat(make_config()))
-    assert loaded["state"]["iteration"] == 6
+    assert loaded["iteration"] == 6
     expected = checkpoint_population(run.final_checkpoint, None)[1]
     np.testing.assert_array_equal(population.weights, expected.weights)
 

@@ -9,7 +9,10 @@ each side through `PYTHONPATH=<side>/src python -m qdportfolio.cli`, and
 every file it writes is compared byte for byte.  `timing.csv`, the one
 file that holds wall-clock times, is skipped.  The script prints each
 differing file, then `identical N, different M, timing.csv skipped K`,
-and exits 1 when M > 0.
+and exits 1 when M > 0.  A differing file that is a JSON object on both
+sides, such as a checkpoint, is printed with the dotted paths of the keys
+that differ or exist on one side only: `different: half/checkpoint.best
+(state.iteration)`.
 
 The corpus: a 12-asset, 300-day `synth`; `ingest` of its prices and of
 the fixture's, so both callers of the price writer are compared; `train`
@@ -28,6 +31,7 @@ pinned by `tests/test_cli.py`, not here.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -123,6 +127,31 @@ def compare_trees(a: Path, b: Path) -> tuple[list[str], list[str], int]:
     return identical, different, skipped
 
 
+def json_key_diff(a: Path, b: Path) -> list[str]:
+    """Dotted paths at which two JSON object files differ; [] unless both hold one."""
+    try:
+        docs = [json.loads(path.read_text(encoding="utf-8")) for path in (a, b)]
+    except (OSError, UnicodeDecodeError, ValueError):
+        return []
+    if not all(isinstance(doc, dict) for doc in docs):
+        return []
+    paths = []
+
+    def walk(x, y, path: str) -> None:
+        if isinstance(x, dict) and isinstance(y, dict):
+            for key in sorted(x.keys() | y.keys()):
+                sub = f"{path}.{key}" if path else key
+                if key in x and key in y:
+                    walk(x[key], y[key], sub)
+                else:
+                    paths.append(sub)
+        elif x != y:
+            paths.append(path)
+
+    walk(*docs, "")
+    return paths
+
+
 def _checkout(ref: str, dest: Path) -> Path:
     sha = subprocess.run(["git", "-C", str(REPO), "rev-parse", "--verify", f"{ref}^{{commit}}"],
                          check=True, capture_output=True, text=True).stdout.strip()
@@ -141,11 +170,11 @@ def main(argv: list[str] | None = None) -> int:
         root = Path(tmp)
         old = _checkout(args.old, root / "old")
         new = REPO if args.new is None else _checkout(args.new, root / "new")
-        identical, different, skipped = compare_trees(
-            run_corpus(old, root / "run_old"), run_corpus(new, root / "run_new")
-        )
-    for rel in different:
-        print(f"different: {rel}")
+        run_old, run_new = run_corpus(old, root / "run_old"), run_corpus(new, root / "run_new")
+        identical, different, skipped = compare_trees(run_old, run_new)
+        for rel in different:
+            keys = json_key_diff(run_old / rel, run_new / rel)
+            print(f"different: {rel}" + (f" ({', '.join(keys)})" if keys else ""))
     print(f"identical {len(identical)}, different {len(different)}, {SKIPPED} skipped {skipped}")
     return 1 if different else 0
 
