@@ -275,7 +275,7 @@ def _cmd_eval(args) -> int:
         "ensemble_l2": ens_eval.l2_norm,
         "mean_sub_mse": report.mean_sub_mse,
         "max_corr": report.max_corr,
-        "support_size": report.support_size,
+        "support_size": int(np.count_nonzero(report.ensemble_weights)),
         "population": population.weights.shape[0],
         "validation_rows": validation.n_rows,
         "checkpoint_kind": kind,

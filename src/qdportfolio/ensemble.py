@@ -34,10 +34,9 @@ BAG_MODES = ("sparsify_rows", "sparsify_mean")
 
 @dataclass(frozen=True)
 class EnsemblePortfolio:
-    """Averaged portfolio weights and the size of their support."""
+    """Averaged portfolio weights."""
 
     weights: np.ndarray
-    support_size: int
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,6 @@ class EvalReport:
     ensemble_mse: float
     mean_sub_mse: float
     max_corr: float
-    support_size: int
     ensemble_weights: np.ndarray
 
 
@@ -81,10 +79,7 @@ def bag(population: Population, mode: str = "sparsify_rows") -> EnsemblePortfoli
         weights = sparsemax(population.logits.mean(axis=0))
     else:
         weights = population.weights.mean(axis=0)
-    return EnsemblePortfolio(
-        weights=weights,
-        support_size=int(np.count_nonzero(weights)),
-    )
+    return EnsemblePortfolio(weights=weights)
 
 
 def evaluate(weights: np.ndarray, panel: ReturnPanel) -> PortfolioEval:
@@ -131,6 +126,5 @@ def evaluate_population(
         ensemble_mse=ens_eval.mse,
         mean_sub_mse=float(np.mean(sub_mse)),
         max_corr=max_corr,
-        support_size=ensemble.support_size,
         ensemble_weights=ensemble.weights,
     )

@@ -2,11 +2,12 @@
 
 A batch of Gaussian noise vectors is pushed through a valid-mode 1-D
 convolution with tanh activation, one step of a stateful LSTM cell, and a
-dense decoder producing one logit row per population member.  During
-training the rows pass through softmax (differentiable); at evaluation
-they pass through sparsemax, which projects onto the simplex and yields
-exact zeros.  The LSTM state persists across iterations and is treated as
-a constant within each one, so gradients never flow across iterations.
+dense decoder producing one logit row per population member.  The caller
+applies the head that turns the rows into weights: the training loss
+applies softmax (differentiable), evaluation applies sparsemax
+(`sparse_population`), which projects onto the simplex and yields exact
+zeros.  The LSTM state persists across iterations and is treated as a
+constant within each one, so gradients never flow across iterations.
 """
 from __future__ import annotations
 
@@ -136,30 +137,22 @@ class GeneratorState:
 
 @dataclass
 class Population:
-    """A batch of candidate portfolios: logits plus simplex weights.
-
-    In train mode `weights_node` is the differentiable softmax node the
-    loss should consume; at evaluation the rows come from sparsemax and
-    only the arrays are kept.
-    """
+    """A batch of candidate portfolios: logits plus their simplex weight rows."""
 
     logits: np.ndarray
     weights: np.ndarray
     mode: str
-    weights_node: dc.Node | None = None
 
 
 @dataclass
 class ForwardResult:
-    population: Population
+    logits: dc.Node  # (B, N): the dense layer's output, before any head
     state: GeneratorState
     param_nodes: dict[str, dc.Node]
 
 
-def init_params(config: GeneratorConfig, rng: np.random.Generator | None = None) -> GeneratorParams:
+def init_params(config: GeneratorConfig, rng: np.random.Generator) -> GeneratorParams:
     """Uniform Glorot initialisation; biases zero except the forget gate at 1."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     shapes = param_shapes(config)
     h = config.lstm_hidden
 
@@ -189,19 +182,14 @@ def sample_noise(config: GeneratorConfig, rng: np.random.Generator) -> np.ndarra
     return rng.standard_normal((config.population, config.noise_dim))
 
 
-def forward(
-    params: GeneratorParams,
-    state: GeneratorState,
-    noise: np.ndarray,
-    mode: str = "train",
-) -> ForwardResult:
-    """Map one noise batch to a population and advance the recurrent state.
+def forward(params: GeneratorParams, state: GeneratorState, noise: np.ndarray) -> ForwardResult:
+    """Map one noise batch to its logit rows and advance the recurrent state.
 
-    The returned state holds plain arrays: the recurrence is truncated at
-    length one, so the next iteration sees it as a constant.
+    The caller applies the head: `dc.softmax` of `logits` in the training
+    loss, `sparse_population(logits.value)` at evaluation.  The returned
+    state holds plain arrays: the recurrence is truncated at length one, so
+    the next iteration sees it as a constant.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     noise = np.asarray(noise, dtype=np.float64)
     batch = state.h.shape[0]
     if noise.ndim != 2 or noise.shape[0] != batch:
@@ -222,18 +210,8 @@ def forward(
         pnodes["lstm_b"],
     )
     logits = dc.add(dc.matmul(h_new, dc.transpose(pnodes["dense_w"])), pnodes["dense_b"])
-    if mode == "train":
-        weights_node = dc.softmax(logits)
-        population = Population(
-            logits=logits.value,
-            weights=weights_node.value,
-            mode="train",
-            weights_node=weights_node,
-        )
-    else:
-        population = sparse_population(logits.value)
     new_state = GeneratorState(h=h_new.value, c=c_new.value)
-    return ForwardResult(population=population, state=new_state, param_nodes=pnodes)
+    return ForwardResult(logits=logits, state=new_state, param_nodes=pnodes)
 
 
 def sparse_population(logits: np.ndarray) -> Population:

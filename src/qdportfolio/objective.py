@@ -165,13 +165,13 @@ def total_loss(
 ) -> TotalLossResult:
     """Compose the full training graph for one iteration.
 
-    Runs the generator in train mode, corrupts the population weights if
-    enabled (this consumes `rng`), and returns the scalar loss node
-    tracking_mse + diversity_weight * max_corr together with its report.
+    Runs the generator, applies the training head (softmax) to its logits,
+    corrupts the population weights if enabled (this consumes `rng`), and
+    returns the scalar loss node tracking_mse + diversity_weight * max_corr
+    together with its report.
     """
-    fwd = gen.forward(params, state, noise, mode="train")
-    weights = fwd.population.weights_node
-    assert weights is not None
+    fwd = gen.forward(params, state, noise)
+    weights = dc.softmax(fwd.logits)
     if config.corruption_enabled:
         if rng is None:
             raise ValueError("corruption requires a random stream")

@@ -490,7 +490,7 @@ def checkpoint_population(payload: dict, eval_seed: int | None) -> tuple[TrainCo
     if eval_seed is not None:
         noise = gen.sample_noise(config.generator, np.random.default_rng(eval_seed))
     params = gen.GeneratorParams.from_flat(config.generator, snapshot.theta)
-    return config, gen.forward(params, snapshot.state, noise, mode="eval").population
+    return config, gen.sparse_population(gen.forward(params, snapshot.state, noise).logits.value)
 
 
 def _resume_from(config: TrainConfig, resume: dict) -> tuple[_Snapshot, _Snapshot]:
@@ -608,9 +608,8 @@ def train_generator(
             grads = np.concatenate([result.param_nodes[name].grad.ravel() for name in gen.PARAM_ORDER])
             theta, opt_state = step(kind, theta, grads, opt_state, config.hyper)
             params, state = gen.GeneratorParams.from_flat(config.generator, theta), result.new_state
-            if run.record(i, result.report,
-                          lambda: gen.forward(params, state, start.eval_noise, mode="eval").population,
-                          t0):
+            if run.record(i, result.report, lambda: gen.sparse_population(
+                    gen.forward(params, state, start.eval_noise).logits.value), t0):
                 best = snapshot(i)
         except (dc.NonFiniteError, OptimError) as e:
             raise TrainError(f"iteration {i}: {e}") from e

@@ -43,14 +43,12 @@ def test_bag_single_member_is_identity():
     weights = sparsemax(np.array([[1.5, 0.2, -0.4, 0.0]]))
     ensemble = bag(make_population(weights))
     np.testing.assert_array_equal(ensemble.weights, weights[0])
-    assert ensemble.support_size == np.count_nonzero(weights[0])
 
 
 def test_bag_two_members_is_midpoint():
     weights = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
     ensemble = bag(make_population(weights))
     np.testing.assert_allclose(ensemble.weights, [0.5, 0.25, 0.25], atol=1e-15)
-    assert ensemble.support_size == 3
 
 
 def test_bag_matches_bruteforce_mean():
@@ -174,7 +172,6 @@ def test_evaluate_population_report_consistency():
         atol=1e-15,
     )
     assert sub_returns.shape == (6, panel.n_rows)
-    assert report.support_size == np.count_nonzero(report.ensemble_weights)
     expected_corr = np.corrcoef(sub_returns)
     iu, ju = np.triu_indices(6, k=1)
     assert report.max_corr == pytest.approx(expected_corr[iu, ju].max(), abs=1e-12)

@@ -50,7 +50,7 @@ def test_parameter_count_small_example():
     )
     # conv 1+1, lstm 4*1*1 + 4*1 + 4, dense 2*1 + 2
     assert config.parameter_count == 18
-    assert init_params(config).flatten().size == 18
+    assert init_params(config, np.random.default_rng(config.seed)).flatten().size == 18
 
 
 def test_parameter_count_matches_shapes():
@@ -71,8 +71,8 @@ def test_config_validation():
 
 
 def test_init_params_deterministic_and_forget_biased():
-    a = init_params(TINY)
-    b = init_params(TINY)
+    a = init_params(TINY, np.random.default_rng(TINY.seed))
+    b = init_params(TINY, np.random.default_rng(TINY.seed))
     np.testing.assert_array_equal(a.flatten(), b.flatten())
     h = TINY.lstm_hidden
     np.testing.assert_array_equal(a.lstm_b[h : 2 * h], 1.0)
@@ -182,44 +182,36 @@ def test_sparsemax_preserves_order(z):
 def test_sparse_population_of_a_vector_is_one_row():
     logits = np.array([0.5, -1.25, 2.0, 0.0])
     pop = sparse_population(logits)
-    assert pop.mode == "eval" and pop.weights_node is None
+    assert pop.mode == "eval"
     np.testing.assert_array_equal(pop.logits, logits[None, :])
     np.testing.assert_array_equal(pop.weights, sparsemax(logits)[None, :])
 
 
 def test_forward_train_mode_softmax_rows():
-    params = init_params(TINY)
+    params = init_params(TINY, np.random.default_rng(TINY.seed))
     state = GeneratorState.zeros(TINY)
     noise = sample_noise(TINY, np.random.default_rng(1))
-    result = forward(params, state, noise, mode="train")
-    pop = result.population
-    assert pop.mode == "train"
-    assert pop.weights.shape == (TINY.population, TINY.n_assets)
-    np.testing.assert_allclose(pop.weights.sum(axis=1), 1.0, atol=1e-12)
-    assert pop.weights.min() > 0.0
-    assert pop.weights_node is not None
-    np.testing.assert_array_equal(pop.weights_node.value, pop.weights)
+    weights = dc.softmax(forward(params, state, noise).logits).value
+    assert weights.shape == (TINY.population, TINY.n_assets)
+    np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
+    assert weights.min() > 0.0
 
 
 def test_forward_eval_mode_sparsemax_rows():
-    params = init_params(TINY)
+    params = init_params(TINY, np.random.default_rng(TINY.seed))
     state = GeneratorState.zeros(TINY)
     noise = 3.0 * sample_noise(TINY, np.random.default_rng(1))
-    result = forward(params, state, noise, mode="eval")
-    pop = result.population
+    pop = sparse_population(forward(params, state, noise).logits.value)
     assert pop.mode == "eval"
-    assert pop.weights_node is None
     np.testing.assert_allclose(pop.weights.sum(axis=1), 1.0, atol=1e-12)
     assert pop.weights.min() >= 0.0
     np.testing.assert_allclose(pop.weights, sparsemax(pop.logits), atol=1e-15)
 
 
 def test_forward_validates_inputs():
-    params = init_params(TINY)
+    params = init_params(TINY, np.random.default_rng(TINY.seed))
     state = GeneratorState.zeros(TINY)
     noise = sample_noise(TINY, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        forward(params, state, noise, mode="predict")
     with pytest.raises(dc.GraphError):
         forward(params, state, noise[:, :-1])
     with pytest.raises(dc.GraphError):
@@ -227,14 +219,14 @@ def test_forward_validates_inputs():
 
 
 def test_state_carries_across_iterations():
-    params = init_params(TINY)
+    params = init_params(TINY, np.random.default_rng(TINY.seed))
     state = GeneratorState.zeros(TINY)
     noise = sample_noise(TINY, np.random.default_rng(5))
-    first = forward(params, state, noise, mode="train")
-    second = forward(params, first.state, noise, mode="train")
+    first = forward(params, state, noise)
+    second = forward(params, first.state, noise)
     # same noise, same params: only the recurrent state changed
-    assert np.max(np.abs(second.population.logits - first.population.logits)) > 1e-8
+    assert np.max(np.abs(second.logits.value - first.logits.value)) > 1e-8
     assert not np.array_equal(first.state.h, state.h)
     # resetting the state reproduces the first output exactly
-    again = forward(params, GeneratorState.zeros(TINY), noise, mode="train")
-    np.testing.assert_array_equal(again.population.logits, first.population.logits)
+    again = forward(params, GeneratorState.zeros(TINY), noise)
+    np.testing.assert_array_equal(again.logits.value, first.logits.value)

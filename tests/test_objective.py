@@ -204,7 +204,7 @@ def test_total_loss_requires_stream_for_corruption():
 
 def test_total_loss_returns_param_nodes_in_order():
     window = make_window(n_assets=4, length=10)
-    params = init_params(TINY)
+    params = init_params(TINY, np.random.default_rng(TINY.seed))
     result = total_loss(
         params,
         GeneratorState.zeros(TINY),
@@ -250,7 +250,7 @@ def test_total_loss_gradients_match_finite_differences():
 def test_pruned_training_graph_keeps_every_parameter_gradient(monkeypatch):
     """Constants skipped by `backward` change no bit of any parameter's gradient."""
     config = GeneratorConfig(n_assets=12, seed=3)
-    params = init_params(config)
+    params = init_params(config, np.random.default_rng(config.seed))
     state = GeneratorState(
         h=np.random.default_rng(4).normal(size=(config.population, config.lstm_hidden)),
         c=np.random.default_rng(5).normal(size=(config.population, config.lstm_hidden)),
