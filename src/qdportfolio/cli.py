@@ -258,7 +258,11 @@ def _cmd_eval(args) -> int:
     config, population = trainer.checkpoint_population(payload, resolved["eval_seed"])
     validation = _load_split(args, resolved)[1].validation
     out = Path(_require(args, "out"))
-    trainer.write_config(_with_data_keys(config_to_flat(config), resolved), out / trainer.RUN_CONFIG)
+    flat, kind = config_to_flat(config), payload["kind"]
+    if kind == "baseline":  # a CMA-ES config block holds a gradient rule in the rule's place
+        flat["optimizer"] = payload["optimizer"]
+        kind = f"baseline:{payload['optimizer']}"
+    trainer.write_config(_with_data_keys(flat, resolved), out / trainer.RUN_CONFIG)
     if config.generator.n_assets != validation.n_assets:
         raise DataError(
             f"checkpoint expects {config.generator.n_assets} assets, "
@@ -267,9 +271,6 @@ def _cmd_eval(args) -> int:
     report = ens.evaluate_population(population, validation, bag_mode=config.bag_mode)
     ens_eval = ens.evaluate(report.ensemble_weights, validation)
 
-    kind = payload["kind"]
-    if kind == "baseline":
-        kind = f"baseline:{payload.get('optimizer', '?')}"
     trainer.write_config({
         "ensemble_mse": report.ensemble_mse,
         "ensemble_l2": ens_eval.l2_norm,

@@ -33,7 +33,7 @@ from . import diffcore as dc
 from . import ensemble as ens
 from . import generator as gen
 from . import objective as obj
-from .marketdata import DataError, ReturnPanel, SplitPanels, sample_window, write_text
+from .marketdata import DataError, RangeError, ReturnPanel, SplitPanels, sample_window, write_text
 from .optim import (
     BASELINE_HYPER,
     GENERATOR_HYPER,
@@ -321,8 +321,15 @@ def save_checkpoint(payload: dict, path: str | Path) -> None:
 # checked where they are decoded.
 _CHECKPOINT_FIELDS = {
     "generator": ("config", "iteration", "params", "state", "optimizer", "rng", "eval_noise", "best"),
-    "baseline": ("config", "iteration", "logits", "best"),
+    "baseline": ("config", "iteration", "optimizer", "logits", "best"),
 }
+
+
+def _count(value, name: str) -> int:
+    """`value` when it is a JSON integer >= 0; a float, text, true or false is refused."""
+    if type(value) is not int or value < 0:
+        raise DataError(f"malformed checkpoint: {name} {value!r} is not an integer >= 0")
+    return value
 
 
 def load_checkpoint(path: str | Path) -> dict:
@@ -346,9 +353,8 @@ def load_checkpoint(path: str | Path) -> dict:
         raise DataError(f"checkpoint {path} lacks field: {', '.join(missing)}")
     if required and not isinstance(payload["config"], dict):
         raise DataError(f"malformed checkpoint {path}: config is not a JSON object")
-    iteration = payload.get("iteration")
-    if required and (type(iteration) is not int or iteration < 0):  # true and false are refused
-        raise DataError(f"malformed checkpoint {path}: iteration {iteration!r} is not an integer >= 0")
+    if required:
+        _count(payload["iteration"], "iteration")
     return payload
 
 
@@ -436,8 +442,11 @@ class _Snapshot:
             if blob["kind"] != kind.value:
                 raise DataError(f"optimizer state is for {blob['kind']!r}, not {kind.value}")
             initial = init_state(kind, sizes.parameter_count, config.hyper)
+            best_mse = payload["best"]["validation_mse"]
+            if type(best_mse) not in (int, float):  # true and false are refused
+                raise DataError(f"malformed checkpoint: best.validation_mse {best_mse!r} is not a number")
             return cls(
-                iteration=int(payload["iteration"]),
+                iteration=_count(payload["iteration"], "iteration"),
                 theta=np.concatenate([
                     _unpack_as(payload["params"][name], f"params.{name}", shape).ravel()
                     for name, shape in gen.param_shapes(sizes).items()
@@ -448,7 +457,7 @@ class _Snapshot:
                 ),
                 optimizer=OptimizerState(
                     kind=kind,
-                    step=int(blob["step"]),
+                    step=_count(blob["step"], "optimizer.step"),
                     arrays={
                         name: _unpack_as(blob["arrays"][name], f"optimizer.{name}", arr.shape)
                         for name, arr in initial.arrays.items()
@@ -461,8 +470,8 @@ class _Snapshot:
                 eval_noise=_unpack_as(
                     payload["eval_noise"], "eval_noise", (sizes.population, sizes.noise_dim)
                 ),
-                best_iteration=int(payload["best"]["iteration"]),
-                best_mse=float(payload["best"]["validation_mse"]),
+                best_iteration=_count(payload["best"]["iteration"], "best.iteration"),
+                best_mse=float(best_mse),
             )
         except KeyError as e:
             raise DataError(f"checkpoint lacks field {e}") from None
@@ -476,13 +485,18 @@ def checkpoint_population(payload: dict, eval_seed: int | None) -> tuple[TrainCo
     """A checkpoint's configuration and the population it scores.
 
     That is the generator's evaluation pass on its stored noise (on fresh
-    noise from `eval_seed` if given), or the sparsemax of a baseline's logits.
+    noise from `eval_seed` if given), or the sparsemax of a baseline's logits,
+    which draws no noise and so takes no `eval_seed`.
     """
     kind = payload.get("kind")
     if kind not in _CHECKPOINT_FIELDS:
         raise DataError(f"checkpoint kind {kind!r} is not scoreable")
     config = config_from_flat(payload["config"])
     if kind == "baseline":
+        if eval_seed is not None:
+            raise RangeError(f"eval_seed {eval_seed} draws noise, and a baseline checkpoint has none")
+        if payload["optimizer"] not in [k.value for k in OptimizerKind]:
+            raise DataError(f"baseline checkpoint names no optimizer: {payload['optimizer']!r}")
         logits = _unpack_as(payload["logits"], "logits", (config.generator.n_assets,))
         return config, gen.sparse_population(logits)
     snapshot = _Snapshot.decode(payload, config)
@@ -509,7 +523,10 @@ def _resume_from(config: TrainConfig, resume: dict) -> tuple[_Snapshot, _Snapsho
             f"nothing to do before {config.iterations}"
         )
     if "best_state" in resume:
-        return start, _Snapshot.decode(resume["best_state"], saved)
+        try:
+            return start, _Snapshot.decode(resume["best_state"], saved)
+        except DataError as e:
+            raise DataError(f"best_state: {e}") from None
     if start.best_iteration == start.iteration:  # a checkpoint.best, or a final at its best
         return start, start
     raise DataError(f"checkpoint lacks best_state for its best iteration {start.best_iteration}")

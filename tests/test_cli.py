@@ -373,8 +373,12 @@ def test_compare_cmaes_run_config_names_cmaes(workspace, tmp_path, capsys):
     # the checkpoint keeps the config its evaluation decodes
     payload = json.loads((run_dir / "checkpoint.best").read_text())
     assert (payload["optimizer"], payload["config"]["optimizer"]) == ("cmaes", "adamw")
-    assert main(["eval", str(run_dir / "checkpoint.best"), "--data", str(workspace["prices"]),
-                 "--out", str(tmp_path / "ev")]) == 0
+    # eval names the rule each run used, as the run's own run.config does
+    for each_run in sorted((out / "runs").iterdir()):
+        evaluated = tmp_path / "eval" / each_run.name
+        assert main(["eval", str(each_run / "checkpoint.best"), "--data", str(workspace["prices"]),
+                     "--out", str(evaluated)]) == 0
+        assert (evaluated / "run.config").read_bytes() == (each_run / "run.config").read_bytes()
     capsys.readouterr()
     assert main(["train", "--data", str(workspace["prices"]), "--out", str(tmp_path / "r"),
                  "--config", str(run_dir / "run.config")]) == 1
@@ -461,6 +465,19 @@ _CHECKPOINT_FAULTS = {
     "text_iteration": (lambda payload: payload.update(iteration="x"), "malformed checkpoint"),
     "bool_iteration": (lambda payload: payload.update(iteration=True), "malformed checkpoint"),
     "null_step": (lambda payload: payload["optimizer"].update(step=None), "malformed checkpoint"),
+    # each count is a JSON integer and the best MSE a JSON number: none is coerced
+    "float_step": (lambda payload: payload["optimizer"].update(step=3.7), "optimizer.step 3.7"),
+    "bool_step": (lambda payload: payload["optimizer"].update(step=True), "optimizer.step True"),
+    "float_best_iteration": (
+        lambda payload: payload["best"].update(iteration=float(payload["best"]["iteration"])),
+        "best.iteration",
+    ),
+    "text_validation_mse": (
+        lambda payload: payload["best"].update(validation_mse="1e-3"), "best.validation_mse '1e-3'",
+    ),
+    "bool_validation_mse": (
+        lambda payload: payload["best"].update(validation_mse=True), "best.validation_mse True",
+    ),
     "bad_rng": (lambda payload: payload["rng"].update(noise={"state": 5}), "malformed checkpoint"),
     # well-formed arrays that do not fit the configuration stored beside them
     "short_param": (_shorten_dense_b, "params.dense_b"),
@@ -609,6 +626,30 @@ def test_resume_from_checkpoint_without_its_best_exits_2(workspace, tmp_path, ca
     assert "best_state" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("iteration", 1.0), ("optimizer.step", True), ("best.iteration", 1.0),
+    ("best.validation_mse", "1e-3"),
+])
+def test_resume_refuses_a_nested_best_value_of_the_wrong_type(workspace, tmp_path, capsys,
+                                                              key, value):
+    config = tmp_path / "fast.config"
+    config.write_text(SMALL_ARCH + "learning_rate=0.3\n")
+    base = ["train", "--data", str(workspace["prices"]), "--config", str(config)]
+    assert main(base + ["--iterations", "3", "--out", str(tmp_path / "part")]) == 0
+    payload = json.loads((tmp_path / "part" / "checkpoint.final").read_text())
+    *path, leaf = key.split(".")
+    block = payload["best_state"]
+    for name in path:
+        block = block[name]
+    block[leaf] = value
+    broken = tmp_path / "checkpoint.final"
+    broken.write_text(json.dumps(payload))
+    assert main(base + ["--iterations", "6", "--resume", str(broken),
+                        "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data: best_state: ") and f"{key} {value!r}" in err
+
+
 def test_checkpoints_holding_dropped_keys_read_as_before(workspace, tmp_path, capsys):
     """Older checkpoints also stored `state.iteration`, and a baseline's best its logits."""
     config = tmp_path / "fast.config"
@@ -746,6 +787,14 @@ def _edited_checkpoint(source, tmp, **values):
     payload = json.loads(Path(source).read_text())
     payload.update(values)
     path = tmp / "edited.checkpoint"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _baseline_without_optimizer(tmp):
+    payload = json.loads((V1_FIXTURE / "baseline.checkpoint").read_text())
+    del payload["optimizer"]
+    path = tmp / "baseline.checkpoint"
     path.write_text(json.dumps(payload))
     return str(path)
 
@@ -907,6 +956,23 @@ _DOCUMENTED_FAILURES = {
                                                     iteration="abc"),
                          "--data", str(V1_FIXTURE / "prices.csv"), "--out", str(tmp / "out")],
         2, "data", "iteration 'abc' is not an integer >= 0",
+    ),
+    "eval_seed_of_baseline": (
+        lambda ws, tmp: ["eval", str(V1_FIXTURE / "baseline.checkpoint"),
+                         "--data", str(V1_FIXTURE / "prices.csv"), "--out", str(tmp / "out"),
+                         "--eval-seed", "7"],
+        1, "usage", "eval_seed 7 draws noise, and a baseline checkpoint has none",
+    ),
+    "eval_baseline_without_optimizer": (
+        lambda ws, tmp: ["eval", _baseline_without_optimizer(tmp),
+                         "--data", str(V1_FIXTURE / "prices.csv"), "--out", str(tmp / "out")],
+        2, "data", "lacks field: optimizer",
+    ),
+    "eval_baseline_unknown_optimizer": (
+        lambda ws, tmp: ["eval", _edited_checkpoint(V1_FIXTURE / "baseline.checkpoint", tmp,
+                                                    optimizer="lbfgs"),
+                         "--data", str(V1_FIXTURE / "prices.csv"), "--out", str(tmp / "out")],
+        2, "data", "baseline checkpoint names no optimizer: 'lbfgs'",
     ),
     "eval_nan_logits": (
         lambda ws, tmp: ["eval", _nan_baseline_logits(tmp), "--data", str(V1_FIXTURE / "prices.csv"),

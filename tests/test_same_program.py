@@ -1,5 +1,5 @@
 """`tools/same_program.py`: its corpus, run twice on this checkout, writes the same bytes,
-and it names the keys at which two JSON files differ."""
+it names the keys at which two JSON files differ, and it counts the package's lines."""
 import importlib.util
 from pathlib import Path
 
@@ -32,3 +32,10 @@ def test_json_key_diff_names_the_differing_paths(tmp_path):
     assert same_program.json_key_diff(old, table) == []
     assert same_program.json_key_diff(array, old) == []
     assert same_program.json_key_diff(old, tmp_path / "absent") == []
+
+
+def test_src_lines_is_the_line_count_of_the_package():
+    package = sorted((same_program.REPO / "src" / "qdportfolio").glob("*.py"))
+    assert package
+    expected = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in package)
+    assert same_program.src_lines(same_program.REPO) == expected

@@ -8,8 +8,9 @@ tree, uncommitted edits included.  Each ref is checked out by a local
 each side through `PYTHONPATH=<side>/src python -m qdportfolio.cli`, and
 every file it writes is compared byte for byte.  `timing.csv`, the one
 file that holds wall-clock times, is skipped.  The script prints each
-differing file, then `identical N, different M, timing.csv skipped K`,
-and exits 1 when M > 0.  A differing file that is a JSON object on both
+differing file, then `identical N, different M, timing.csv skipped K;
+src lines A → B`, where A and B count the lines of each side's
+`src/qdportfolio/*.py` as `wc -l` does, and exits 1 when M > 0.  A differing file that is a JSON object on both
 sides, such as a checkpoint, is printed with the dotted paths of the keys
 that differ or exist on one side only: `different: half/checkpoint.best
 (state.iteration)`.
@@ -152,6 +153,11 @@ def json_key_diff(a: Path, b: Path) -> list[str]:
     return paths
 
 
+def src_lines(side: Path) -> int:
+    """The newlines in checkout `side`'s `src/qdportfolio/*.py`: their `wc -l` total."""
+    return sum(path.read_bytes().count(b"\n") for path in (side / "src" / "qdportfolio").glob("*.py"))
+
+
 def _checkout(ref: str, dest: Path) -> Path:
     sha = subprocess.run(["git", "-C", str(REPO), "rev-parse", "--verify", f"{ref}^{{commit}}"],
                          check=True, capture_output=True, text=True).stdout.strip()
@@ -175,7 +181,8 @@ def main(argv: list[str] | None = None) -> int:
         for rel in different:
             keys = json_key_diff(run_old / rel, run_new / rel)
             print(f"different: {rel}" + (f" ({', '.join(keys)})" if keys else ""))
-    print(f"identical {len(identical)}, different {len(different)}, {SKIPPED} skipped {skipped}")
+        lines = f"src lines {src_lines(old)} → {src_lines(new)}"
+    print(f"identical {len(identical)}, different {len(different)}, {SKIPPED} skipped {skipped}; {lines}")
     return 1 if different else 0
 
 
