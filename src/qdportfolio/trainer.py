@@ -296,43 +296,60 @@ def unpack_array(blob: dict | list) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
-def _unpack_as(blob: dict | list, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The stored array `name`, which the configuration gives `shape`."""
-    try:
-        arr = unpack_array(blob)
-    except DataError as e:
-        raise DataError(f"{name}: {e}") from None
-    if isinstance(blob, list) and arr.size == math.prod(shape):
-        arr = arr.reshape(shape)  # version 1 stored parameters flat
-    if arr.shape != tuple(shape):
-        raise DataError(
-            f"stored array {name} has shape {list(arr.shape)}, its configuration gives {list(shape)}"
-        )
-    if not np.isfinite(arr).all():
-        raise DataError(f"stored array {name} holds non-finite values")
-    return arr
+def _packed(tree):
+    """`tree` with each numpy array and numpy scalar stored by `pack_array`."""
+    if isinstance(tree, dict):
+        return {key: _packed(value) for key, value in tree.items()}
+    return pack_array(tree) if isinstance(tree, (np.ndarray, np.generic)) else tree
+
+
+def _read(doc, template, path: str = ""):
+    """The stored tree `doc`, at key path `path`, read against the tree its writer builds.
+
+    Every template key is required, and any other key is ignored.  An array must
+    unpack to the template's shape with finite values, an integer be a JSON
+    integer >= 0, a float a finite JSON number >= 0, and text equal the
+    template's.  Returns the template's keys, holding unpacked arrays.
+    """
+    if isinstance(template, dict):
+        if not isinstance(doc, dict):
+            raise DataError(f"malformed checkpoint: {path} is not a JSON object")
+        paths = {key: f"{path}.{key}".lstrip(".") for key in template}
+        missing = [paths[key] for key in template if key not in doc]
+        if missing:
+            raise DataError(f"checkpoint lacks field: {', '.join(missing)}")
+        return {key: _read(doc[key], sub, paths[key]) for key, sub in template.items()}
+    if isinstance(template, np.ndarray):
+        try:
+            arr = unpack_array(doc)
+        except DataError as e:
+            raise DataError(f"{path}: {e}") from None
+        if isinstance(doc, list) and arr.size == template.size:
+            arr = arr.reshape(template.shape)  # version 1 stored parameters flat
+        if arr.shape != template.shape:
+            raise DataError(f"stored array {path} has shape {list(arr.shape)}, "
+                            f"its configuration gives {list(template.shape)}")
+        if not np.isfinite(arr).all():
+            raise DataError(f"stored array {path} holds non-finite values")
+        return arr
+    if isinstance(template, str):
+        ok, expected = doc == template, repr(template)
+    elif isinstance(template, int):
+        ok, expected = type(doc) is int and doc >= 0, "an integer >= 0"
+    else:  # a float: a JSON integer is a number too, and true and false are not
+        ok = type(doc) in (int, float) and 0 <= doc <= sys.float_info.max
+        expected = "a finite number >= 0"
+    if not ok:
+        raise DataError(f"malformed checkpoint: {path} {doc!r} is not {expected}")
+    return float(doc) if isinstance(template, float) else doc
 
 
 def save_checkpoint(payload: dict, path: str | Path) -> None:
     write_text(path, json.dumps(payload, sort_keys=True))
 
 
-# The top-level fields of each kind of checkpoint; nested fields are
-# checked where they are decoded.
-_CHECKPOINT_FIELDS = {
-    "generator": ("config", "iteration", "params", "state", "optimizer", "rng", "eval_noise", "best"),
-    "baseline": ("config", "iteration", "optimizer", "logits", "best"),
-}
-
-
-def _count(value, name: str) -> int:
-    """`value` when it is a JSON integer >= 0; a float, text, true or false is refused."""
-    if type(value) is not int or value < 0:
-        raise DataError(f"malformed checkpoint: {name} {value!r} is not an integer >= 0")
-    return value
-
-
 def load_checkpoint(path: str | Path) -> dict:
+    """A JSON object of a readable format version; its users read the rest (`_read`)."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such checkpoint: {path}")
@@ -347,15 +364,13 @@ def load_checkpoint(path: str | Path) -> dict:
         raise DataError(
             f"unsupported checkpoint format_version {version!r} (expected one of {_READABLE_VERSIONS})"
         )
-    required = _CHECKPOINT_FIELDS.get(payload.get("kind"), ())
-    missing = [name for name in required if name not in payload]
-    if missing:
-        raise DataError(f"checkpoint {path} lacks field: {', '.join(missing)}")
-    if required and not isinstance(payload["config"], dict):
-        raise DataError(f"malformed checkpoint {path}: config is not a JSON object")
-    if required:
-        _count(payload["iteration"], "iteration")
     return payload
+
+
+def _config_of(payload: dict) -> TrainConfig:
+    """The configuration a checkpoint stores; its other values are read against it."""
+    _read(payload, {"config": {}})  # a JSON object, whose keys config_from_flat reads
+    return config_from_flat(payload["config"])
 
 
 # --------------------------------------------------------------------------
@@ -405,80 +420,50 @@ class _Snapshot:
             eval_noise=gen.sample_noise(config.generator, np.random.default_rng(evaluation)),
         )
 
-    def encode(self, config: TrainConfig, best_state: dict | None = None) -> dict:
-        """The checkpoint document; `best_state` is nested when given."""
-        params = gen.GeneratorParams.from_flat(config.generator, self.theta)
-        payload = {
+    def tree(self, config: TrainConfig) -> dict:
+        """The checkpoint document with its arrays unpacked: the format's one definition."""
+        return {
             "format_version": CHECKPOINT_VERSION,
             "kind": "generator",
             "config": config_to_flat(config),
             "iteration": self.iteration,
-            "params": {name: pack_array(arr) for name, arr in params.as_dict().items()},
-            "state": {"h": pack_array(self.state.h), "c": pack_array(self.state.c)},
+            "params": gen.GeneratorParams.from_flat(config.generator, self.theta).as_dict(),
+            "state": {"h": self.state.h, "c": self.state.c},
             "optimizer": {
                 "kind": self.optimizer.kind.value,
                 "step": self.optimizer.step,
-                "arrays": {name: pack_array(arr) for name, arr in self.optimizer.arrays.items()},
+                "arrays": self.optimizer.arrays,
             },
             "rng": self.rng,
-            "eval_noise": pack_array(self.eval_noise),
+            "eval_noise": self.eval_noise,
             "best": {"iteration": self.best_iteration, "validation_mse": self.best_mse},
         }
+
+    def encode(self, config: TrainConfig, best_state: dict | None = None) -> dict:
+        """The checkpoint document; `best_state` is nested when given."""
+        payload = _packed(self.tree(config))
         if best_state is not None:
             payload["best_state"] = best_state
         return payload
 
     @classmethod
-    def decode(cls, payload: dict, config: TrainConfig) -> "_Snapshot":
-        """Read a checkpoint document of any readable version.
-
-        Every array is checked against `config`, the configuration already parsed from it.
-        """
-        try:
-            sizes = config.generator
-            rows = (sizes.population, sizes.lstm_hidden)
-            kind = OptimizerKind(config.optimizer)
-            blob = payload["optimizer"]
-            if blob["kind"] != kind.value:
-                raise DataError(f"optimizer state is for {blob['kind']!r}, not {kind.value}")
-            initial = init_state(kind, sizes.parameter_count, config.hyper)
-            best_mse = payload["best"]["validation_mse"]
-            if type(best_mse) not in (int, float):  # true and false are refused
-                raise DataError(f"malformed checkpoint: best.validation_mse {best_mse!r} is not a number")
-            return cls(
-                iteration=_count(payload["iteration"], "iteration"),
-                theta=np.concatenate([
-                    _unpack_as(payload["params"][name], f"params.{name}", shape).ravel()
-                    for name, shape in gen.param_shapes(sizes).items()
-                ]),
-                state=gen.GeneratorState(
-                    h=_unpack_as(payload["state"]["h"], "state.h", rows),
-                    c=_unpack_as(payload["state"]["c"], "state.c", rows),
-                ),
-                optimizer=OptimizerState(
-                    kind=kind,
-                    step=_count(blob["step"], "optimizer.step"),
-                    arrays={
-                        name: _unpack_as(blob["arrays"][name], f"optimizer.{name}", arr.shape)
-                        for name, arr in initial.arrays.items()
-                    },
-                ),
-                rng={  # a state numpy refuses is refused here, not mid-run
-                    name: _rng_from_state(payload["rng"][name]).bit_generator.state
-                    for name in _CARRIED_STREAMS
-                },
-                eval_noise=_unpack_as(
-                    payload["eval_noise"], "eval_noise", (sizes.population, sizes.noise_dim)
-                ),
-                best_iteration=_count(payload["best"]["iteration"], "best.iteration"),
-                best_mse=float(best_mse),
-            )
-        except KeyError as e:
-            raise DataError(f"checkpoint lacks field {e}") from None
-        except DataError:
-            raise
-        except (TypeError, ValueError) as e:
-            raise DataError(f"malformed checkpoint: {e}") from None
+    def decode(cls, payload: dict, config: TrainConfig, path: str = "") -> "_Snapshot":
+        """A generator checkpoint of `config`, at key path `path`, of any readable version."""
+        start = cls.start(config)  # config_from_flat has read the config
+        tree = _read(payload, {**start.tree(config), "config": {}}, path)
+        return cls(
+            iteration=tree["iteration"],
+            theta=np.concatenate([tree["params"][name].ravel() for name in gen.PARAM_ORDER]),
+            state=gen.GeneratorState(**tree["state"]),
+            optimizer=replace(start.optimizer, step=tree["optimizer"]["step"],
+                              arrays=tree["optimizer"]["arrays"]),
+            rng={  # a state numpy refuses is refused here, not mid-run
+                name: _rng_from_state(state).bit_generator.state for name, state in tree["rng"].items()
+            },
+            eval_noise=tree["eval_noise"],
+            best_iteration=tree["best"]["iteration"],
+            best_mse=tree["best"]["validation_mse"],
+        )
 
 
 def checkpoint_population(payload: dict, eval_seed: int | None) -> tuple[TrainConfig, gen.Population]:
@@ -489,15 +474,17 @@ def checkpoint_population(payload: dict, eval_seed: int | None) -> tuple[TrainCo
     which draws no noise and so takes no `eval_seed`.
     """
     kind = payload.get("kind")
-    if kind not in _CHECKPOINT_FIELDS:
+    if kind not in ("generator", "baseline"):
         raise DataError(f"checkpoint kind {kind!r} is not scoreable")
-    config = config_from_flat(payload["config"])
+    config = _config_of(payload)
     if kind == "baseline":
         if eval_seed is not None:
             raise RangeError(f"eval_seed {eval_seed} draws noise, and a baseline checkpoint has none")
-        if payload["optimizer"] not in [k.value for k in OptimizerKind]:
-            raise DataError(f"baseline checkpoint names no optimizer: {payload['optimizer']!r}")
-        logits = _unpack_as(payload["logits"], "logits", (config.generator.n_assets,))
+        rule = payload.get("optimizer")
+        if rule not in [k.value for k in OptimizerKind]:
+            raise DataError(f"baseline checkpoint names no optimizer: {rule!r}")
+        template = _baseline_tree(config, rule, 0, np.zeros(config.generator.n_assets), (0, 0.0))
+        logits = _read(payload, {**template, "config": {}})["logits"]  # config read above
         return config, gen.sparse_population(logits)
     snapshot = _Snapshot.decode(payload, config)
     noise = snapshot.eval_noise
@@ -510,8 +497,8 @@ def checkpoint_population(payload: dict, eval_seed: int | None) -> tuple[TrainCo
 def _resume_from(config: TrainConfig, resume: dict) -> tuple[_Snapshot, _Snapshot]:
     """The checkpoint's snapshot and its best, once it is known to continue `config`."""
     if resume.get("kind") != "generator":
-        raise DataError("checkpoint does not describe a generator run")
-    saved = config_from_flat(resume["config"])
+        raise DataError(f"checkpoint kind {resume.get('kind')!r} does not describe a generator run")
+    saved = _config_of(resume)
     current, stored = config_to_flat(config), config_to_flat(saved)
     mismatched = [k for k in current if k != "iterations" and current[k] != stored[k]]
     if mismatched:
@@ -523,10 +510,7 @@ def _resume_from(config: TrainConfig, resume: dict) -> tuple[_Snapshot, _Snapsho
             f"nothing to do before {config.iterations}"
         )
     if "best_state" in resume:
-        try:
-            return start, _Snapshot.decode(resume["best_state"], saved)
-        except DataError as e:
-            raise DataError(f"best_state: {e}") from None
+        return start, _Snapshot.decode(resume["best_state"], saved, "best_state")
     if start.best_iteration == start.iteration:  # a checkpoint.best, or a final at its best
         return start, start
     raise DataError(f"checkpoint lacks best_state for its best iteration {start.best_iteration}")
@@ -646,16 +630,17 @@ def train_generator(
 # --------------------------------------------------------------------------
 # baselines
 
-def _baseline_payload(config: TrainConfig, kind: OptimizerKind, iteration: int,
-                      logits: np.ndarray, run: _RunRecord) -> dict:
+def _baseline_tree(config: TrainConfig, rule: str, iteration: int, logits: np.ndarray,
+                   best: tuple[int, float]) -> dict:
+    """A baseline checkpoint with its logits unpacked; `best` is the best iteration and its MSE."""
     return {
         "format_version": CHECKPOINT_VERSION,
         "kind": "baseline",
-        "optimizer": kind.value,
+        "optimizer": rule,
         "config": config_to_flat(config),
         "iteration": iteration,
-        "logits": pack_array(logits),
-        "best": {"iteration": run.best_iteration, "validation_mse": run.best_mse},
+        "logits": logits,
+        "best": {"iteration": best[0], "validation_mse": best[1]},
     }
 
 
@@ -723,9 +708,10 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
                 raise TrainError(f"iteration {i}: {e}") from e
         last = evaluations_used = config.iterations
 
+    best = (run.best_iteration, run.best_mse)
     art = run.artifacts(
-        _baseline_payload(config, kind, last, logits, run),
-        _baseline_payload(config, kind, run.best_iteration, best_logits, run),
+        _packed(_baseline_tree(config, kind.value, last, logits, best)),
+        _packed(_baseline_tree(config, kind.value, run.best_iteration, best_logits, best)),
         evaluations_used=evaluations_used,
     )
     art.config["optimizer"] = kind.value  # a CMA-ES config holds a gradient rule in its place

@@ -478,7 +478,7 @@ _CHECKPOINT_FAULTS = {
     "bool_validation_mse": (
         lambda payload: payload["best"].update(validation_mse=True), "best.validation_mse True",
     ),
-    "bad_rng": (lambda payload: payload["rng"].update(noise={"state": 5}), "malformed checkpoint"),
+    "bad_rng": (lambda payload: payload["rng"].update(noise={"state": 5}), "rng.noise"),
     # well-formed arrays that do not fit the configuration stored beside them
     "short_param": (_shorten_dense_b, "params.dense_b"),
     "state_shape": (
@@ -647,7 +647,7 @@ def test_resume_refuses_a_nested_best_value_of_the_wrong_type(workspace, tmp_pat
     assert main(base + ["--iterations", "6", "--resume", str(broken),
                         "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: data: best_state: ") and f"{key} {value!r}" in err
+    assert err.startswith("error: data: ") and f"best_state.{key} {value!r}" in err
 
 
 def test_checkpoints_holding_dropped_keys_read_as_before(workspace, tmp_path, capsys):
@@ -966,7 +966,7 @@ _DOCUMENTED_FAILURES = {
     "eval_baseline_without_optimizer": (
         lambda ws, tmp: ["eval", _baseline_without_optimizer(tmp),
                          "--data", str(V1_FIXTURE / "prices.csv"), "--out", str(tmp / "out")],
-        2, "data", "lacks field: optimizer",
+        2, "data", "baseline checkpoint names no optimizer: None",
     ),
     "eval_baseline_unknown_optimizer": (
         lambda ws, tmp: ["eval", _edited_checkpoint(V1_FIXTURE / "baseline.checkpoint", tmp,

@@ -334,12 +334,12 @@ def test_load_checkpoint_rejects_incomplete_documents(tmp_path):
     path = tmp_path / "checkpoint.final"
     save_checkpoint({k: v for k, v in payload.items() if k != "state"}, path)
     with pytest.raises(DataError, match="lacks field: state"):
-        load_checkpoint(path)
+        checkpoint_population(load_checkpoint(path), None)
     path.write_text("[2]")
     with pytest.raises(DataError, match="not a JSON object"):
         load_checkpoint(path)
     del payload["best_state"]["state"]["h"]
-    with pytest.raises(DataError, match="lacks field 'h'"):
+    with pytest.raises(DataError, match="lacks field: state.h"):
         checkpoint_population(payload["best_state"], None)
 
 
