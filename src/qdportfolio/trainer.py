@@ -197,8 +197,10 @@ class FlatKey:
         try:
             if self.type is bool:
                 return _BOOL_WORDS[str(text).lower()]
+            if isinstance(text, bool) or (self.type is int and isinstance(text, float)):
+                raise TypeError  # JSON true and false are no numbers, and a fraction no count
             return self.type(text)
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise DataError(f"bad value for configuration key {self.name}: {value!r}") from None
 
 
@@ -283,7 +285,9 @@ def unpack_array(blob: dict | list) -> np.ndarray:
     try:
         if isinstance(blob, list):  # version 1: generator params, baseline logits
             return np.asarray(blob, dtype=np.float64)
-        shape = [int(n) for n in blob["shape"]]
+        shape = blob["shape"]
+        if type(shape) is not list or not all(type(n) is int and n >= 0 for n in shape):
+            raise ValueError(f"shape {shape!r} is not a list of integers >= 0")
         if "data" in blob:  # version 1
             return np.asarray(blob["data"], dtype=np.float64).reshape(shape)
         raw = base64.b64decode(blob["f64le"], validate=True)
@@ -291,7 +295,7 @@ def unpack_array(blob: dict | list) -> np.ndarray:
         raise DataError(f"stored array lacks field {e}") from None
     except (TypeError, ValueError) as e:
         raise DataError(f"malformed stored array: {e}") from None
-    if min(shape, default=0) < 0 or len(raw) != 8 * math.prod(shape):
+    if len(raw) != 8 * math.prod(shape):
         raise DataError(f"stored array of shape {shape} holds {len(raw)} bytes")
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
@@ -449,8 +453,8 @@ class _Snapshot:
     @classmethod
     def decode(cls, payload: dict, config: TrainConfig, path: str = "") -> "_Snapshot":
         """A generator checkpoint of `config`, at key path `path`, of any readable version."""
-        start = cls.start(config)  # config_from_flat has read the config
-        tree = _read(payload, {**start.tree(config), "config": {}}, path)
+        start = cls.start(config)
+        tree = _read(payload, {**start.tree(config), "config": {}}, path)  # config: parsed already
         return cls(
             iteration=tree["iteration"],
             theta=np.concatenate([tree["params"][name].ravel() for name in gen.PARAM_ORDER]),
@@ -484,7 +488,7 @@ def checkpoint_population(payload: dict, eval_seed: int | None) -> tuple[TrainCo
         if rule not in [k.value for k in OptimizerKind]:
             raise DataError(f"baseline checkpoint names no optimizer: {rule!r}")
         template = _baseline_tree(config, rule, 0, np.zeros(config.generator.n_assets), (0, 0.0))
-        logits = _read(payload, {**template, "config": {}})["logits"]  # config read above
+        logits = _read(payload, {**template, "config": {}})["logits"]  # config: parsed above
         return config, gen.sparse_population(logits)
     snapshot = _Snapshot.decode(payload, config)
     noise = snapshot.eval_noise

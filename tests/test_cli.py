@@ -1,14 +1,19 @@
 """Command-line interface: exit codes, artifact layout, determinism, SVG."""
 import base64
+import copy
 import csv
+import io
 import json
 import os
+import tempfile
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdportfolio import trainer
@@ -16,7 +21,7 @@ from qdportfolio.ensemble import BAG_MODES
 from qdportfolio.generator import GeneratorConfig
 from qdportfolio.marketdata import DataError, compute_log_returns, load_prices, time_split
 from qdportfolio.objective import LossConfig
-from qdportfolio.optim import GRADIENT_KINDS, Hyper
+from qdportfolio.optim import GRADIENT_KINDS, Hyper, OptimizerKind
 from qdportfolio.trainer import TrainConfig
 from qdportfolio.cli import (
     DEFAULTS,
@@ -493,6 +498,14 @@ _CHECKPOINT_FAULTS = {
         lambda payload: payload["params"].update(dense_b=trainer.pack_array(np.full(5, np.nan))),
         "params.dense_b holds non-finite values",
     ),
+    # a configuration number keeps its JSON type
+    "fraction_window": (lambda payload: payload["config"].update(window=10.9), "window"),
+    "bool_lambda": (lambda payload: payload["config"].update({"lambda": True}), "lambda"),
+    # a shape entry keeps its JSON type
+    "text_shape": (lambda payload: payload["params"]["dense_b"].update(shape="5"), "params.dense_b"),
+    "fraction_shape": (
+        lambda payload: payload["params"]["dense_b"].update(shape=[5.9]), "params.dense_b",
+    ),
 }
 
 
@@ -680,6 +693,165 @@ def test_checkpoints_holding_dropped_keys_read_as_before(workspace, tmp_path, ca
         for name in sorted(names - {"timing.csv"}):
             assert (new / name).read_bytes() == (old / name).read_bytes(), (command, name)
     capsys.readouterr()
+
+
+# The leaf fuzzer: every leaf of the tree a checkpoint's writer builds is read, and an
+# unknown key anywhere is ignored.  A leaf's path is drawn from that tree (the
+# configuration left out: `config_from_flat` reads it, and its own tests cover it).
+
+@pytest.fixture(scope="module")
+def fuzz_sources(workspace, tmp_path_factory):
+    """A generator checkpoint that nests its best, a baseline checkpoint, and what both give."""
+    root = tmp_path_factory.mktemp("fuzz")
+    config = root / "fast.config"
+    config.write_text(SMALL_ARCH + "learning_rate=0.3\n")
+    assert main(["train", "--data", str(workspace["prices"]), "--config", str(config),
+                 "--iterations", "3", "--out", str(root / "part")]) == 0
+    generator = json.loads((root / "part" / "checkpoint.final").read_text())
+    assert "best_state" in generator
+    run_config = trainer.config_from_flat(generator["config"])
+    split = time_split(compute_log_returns(load_prices(workspace["prices"], "INDEX")), 0.8)
+    baseline = trainer.train_baseline(OptimizerKind.RPROP, replace(run_config, iterations=2),
+                                      split).final_checkpoint
+    sources = {
+        "config": config, "run_config": replace(run_config, iterations=6), "split": split,
+        "docs": {"generator": generator, "baseline": baseline},
+        "trees": {
+            "generator": trainer._Snapshot.start(run_config).tree(run_config),
+            "baseline": trainer._baseline_tree(run_config, "rprop", 0,
+                                               np.zeros(run_config.generator.n_assets), (0, 0.0)),
+        },
+    }
+    sources["unmutated"] = {kind: _fuzz_run(workspace, sources, kind, doc)
+                            for kind, doc in sources["docs"].items()}
+    return sources
+
+
+def _fuzz_commands(workspace, sources, kind, path):
+    """argv of `eval` (and of `--resume` for a generator) of the checkpoint at `path`."""
+    commands = {"eval": ["eval", str(path), "--data", str(workspace["prices"])]}
+    if kind == "generator":
+        commands["resume"] = ["train", "--data", str(workspace["prices"]), "--config",
+                              str(sources["config"]), "--iterations", "6", "--resume", str(path)]
+    return commands
+
+
+def _fuzz_run(workspace, sources, kind, doc):
+    """Each command's (exit code, stderr, written bytes but timing.csv) and each library
+    call's result or `DataError`, for the checkpoint document `doc`."""
+    outcomes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint"
+        path.write_text(json.dumps(doc))
+        for name, argv in _fuzz_commands(workspace, sources, kind, path).items():
+            out, err = Path(tmp) / name, io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                code = main(argv + ["--out", str(out)])
+            written = {p.name: p.read_bytes() for p in sorted(out.glob("*")) if p.name != "timing.csv"}
+            outcomes[name] = (code, err.getvalue(), written)
+    calls = {"population": lambda: trainer.checkpoint_population(copy.deepcopy(doc), None)[1].weights}
+    if kind == "generator":
+        calls["train_generator"] = lambda: _canon_checkpoints(trainer.train_generator(
+            sources["run_config"], sources["split"], resume=copy.deepcopy(doc)))
+    for name, call in calls.items():
+        try:
+            outcomes[name] = call()
+        except DataError as e:
+            outcomes[name] = e
+    return outcomes
+
+
+def _canon_checkpoints(run):
+    return json.dumps([run.final_checkpoint, run.best_checkpoint], sort_keys=True)
+
+
+def _tree_leaves(tree, prefix=()):
+    """(path, leaf) of each leaf of a writer's tree, below its configuration."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            if prefix or key != "config":
+                yield from _tree_leaves(value, (*prefix, key))
+        else:
+            yield (*prefix, key), value
+
+
+def _mutations(leaf):
+    """The damaging edits of a leaf, each a function of its stored value ("delete" removes it)."""
+    edits = {"delete": lambda stored: None}
+    wrong = {int: ["7", 1.5, True, None, []], float: ["1e-3", True, None, []],
+             str: [5, True, None, []], np.ndarray: ["x", 5, True, None, {}]}[type(leaf)]
+    for value in wrong:
+        edits[f"type {value!r}"] = lambda stored, value=value: value
+    if isinstance(leaf, (int, float)):
+        for value in (float("nan"), float("inf"), -float("inf"), -1, -1.0):
+            edits[f"number {value!r}"] = lambda stored, value=value: value
+    elif isinstance(leaf, str):
+        edits["text"] = lambda stored: stored + "x"
+    else:
+        edits["shape"] = lambda stored: trainer.pack_array(np.zeros(leaf.size + 1))
+        for value in (np.nan, np.inf, -np.inf):
+            def non_finite(stored, value=value):
+                arr = trainer.unpack_array(stored).copy()
+                arr.flat[arr.size // 2] = value
+                return trainer.pack_array(arr)
+            edits[f"non-finite {value!r}"] = non_finite
+    return edits
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_damaged_checkpoint_leaf_is_refused_by_its_path(workspace, fuzz_sources, data):
+    kind, nested = data.draw(st.sampled_from([("generator", False), ("generator", True),
+                                              ("baseline", False)]))
+    leaves = dict(_tree_leaves(fuzz_sources["trees"][kind]))
+    *parents, leaf_key = path = data.draw(st.sampled_from(list(leaves)))
+    edits = _mutations(leaves[path])
+    label = data.draw(st.sampled_from(sorted(edits)))
+    doc = copy.deepcopy(fuzz_sources["docs"][kind])
+    block = doc["best_state"] if nested else doc
+    for key in parents:
+        block = block[key]
+    value = edits[label](block[leaf_key])
+    if label == "delete":
+        del block[leaf_key]
+    else:
+        block[leaf_key] = value
+    name = ".".join(("best_state", *path) if nested else path)
+    outcomes = _fuzz_run(workspace, fuzz_sources, kind, doc)
+    if nested:  # eval scores the checkpoint's own state, not its nested best
+        assert outcomes.pop("eval") == fuzz_sources["unmutated"][kind]["eval"]
+        assert np.array_equal(outcomes.pop("population"),
+                              fuzz_sources["unmutated"][kind]["population"])
+    for command, outcome in outcomes.items():
+        if isinstance(outcome, tuple):
+            code, err, _ = outcome
+            assert code == 2 and err.startswith("error: data:") and name in err, (command, err)
+        else:
+            assert isinstance(outcome, DataError) and name in str(outcome), (command, outcome)
+
+
+def _dict_paths(doc, prefix=()):
+    """The path of each JSON object in `doc`, `doc` itself included."""
+    yield prefix
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _dict_paths(value, (*prefix, key))
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_an_unknown_checkpoint_key_changes_no_byte(workspace, fuzz_sources, data):
+    kind = data.draw(st.sampled_from(["generator", "baseline"]))
+    doc = copy.deepcopy(fuzz_sources["docs"][kind])
+    block = doc
+    for key in data.draw(st.sampled_from(list(_dict_paths(doc)))):
+        block = block[key]
+    block["unknown_key"] = data.draw(st.sampled_from([1, -1.5, "x", None, [], {"shape": [9]}]))
+    outcomes = _fuzz_run(workspace, fuzz_sources, kind, doc)
+    unmutated = fuzz_sources["unmutated"][kind]
+    assert outcomes.pop("population").tobytes() == unmutated["population"].tobytes()
+    assert outcomes == {name: value for name, value in unmutated.items() if name != "population"}
+    assert all(outcome[0] == 0 for outcome in outcomes.values() if isinstance(outcome, tuple))
 
 
 def test_every_written_file_is_moved_into_place(workspace, tmp_path, capsys, monkeypatch):
@@ -1065,6 +1237,12 @@ def test_flat_key_parse_reads_text_and_json_alike():
     with pytest.raises(DataError, match="window"):
         trainer.FLAT_KEYS["window"].parse(None)
     assert trainer.FLAT_KEYS["window"].parse(" 30 ") == trainer.FLAT_KEYS["window"].parse(30) == 30
+    # a JSON value keeps its type: a fraction is no count, and true and false are no numbers
+    assert trainer.FLAT_KEYS["lambda"].parse(0) == trainer.FLAT_KEYS["lambda"].parse("0") == 0.0
+    for name, value in [("window", 20.9), ("window", 20.0), ("window", True), ("seed", False),
+                        ("lambda", True), ("lambda", False), ("lambda", 10**400)]:
+        with pytest.raises(DataError, match=f"configuration key {name}"):
+            trainer.FLAT_KEYS[name].parse(value)
     assert trainer.DATA_KEYS["train_fraction"].parse("0.75") == 0.75
 
 

@@ -189,11 +189,14 @@ def test_cmaes_baseline_ends_at_the_generation_where_cmaes_stopped():
     assert run.best_checkpoint["best"]["iteration"] == run.best_iteration
 
 
-def test_resume_is_bit_identical_to_uninterrupted():
+@pytest.mark.parametrize("kind", GRADIENT_KINDS, ids=lambda k: k.value)
+def test_resume_is_bit_identical_to_uninterrupted(kind):
+    """Each rule's optimizer state round-trips, Nadam's numpy-scalar `mu_product` included."""
     data = make_data()
-    full = train_generator(make_config(iterations=8), data)
-    first = train_generator(make_config(iterations=4), data)
-    resumed = train_generator(make_config(iterations=8), data,
+    full = train_generator(make_config(iterations=8, optimizer=kind), data)
+    first = train_generator(make_config(iterations=4, optimizer=kind), data)
+    assert first.final_checkpoint["optimizer"]["kind"] == kind.value
+    resumed = train_generator(make_config(iterations=8, optimizer=kind), data,
                               resume=first.final_checkpoint)
     assert resumed.start_iteration == 4
     assert canon(resumed.final_checkpoint) == canon(full.final_checkpoint)
@@ -404,9 +407,13 @@ def test_unpack_array_reads_version_1_forms():
     ({"f64le": ""}, "lacks field 'shape'"),
     ({"shape": [1], "f64le": "AAAA!AAAAAA="}, "malformed"),
     ({"shape": [2], "f64le": base64.b64encode(bytes(8)).decode()}, "holds 8 bytes"),
-    ({"shape": [-1, -1], "f64le": base64.b64encode(bytes(8)).decode()}, "holds 8 bytes"),
+    ({"shape": [-1, -1], "f64le": base64.b64encode(bytes(8)).decode()}, "malformed"),
     ({"shape": [2, 2], "data": [1.0, 2.0, 3.0]}, "malformed"),
     ({"shape": "x", "f64le": ""}, "malformed"),
+    # a shape entry keeps its JSON type: neither text nor a fraction is rounded to a count
+    ({"shape": "6", "f64le": base64.b64encode(bytes(48)).decode()}, "malformed"),
+    ({"shape": [6.9], "f64le": base64.b64encode(bytes(48)).decode()}, "malformed"),
+    ({"shape": [True], "data": [1.0]}, "malformed"),
 ])
 def test_unpack_array_rejects_malformed_blobs(blob, message):
     with pytest.raises(DataError, match=message):

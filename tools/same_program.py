@@ -19,11 +19,13 @@ The corpus: a 12-asset, 300-day `synth`; `ingest` of its prices and of
 the fixture's, so both callers of the price writer are compared; `train`
 for 30 iterations at learning rates 0.01 and 0.3 with `--window 60`;
 `train` for 15 iterations, then `--resume` to 30, once at the default
-cadence and once with `eval_every=30` (the benchmark's resume shape: both
+cadence, once with `eval_every=30` (the benchmark's resume shape: both
 runs end at their best, so each writes a `checkpoint.final` without a
-nested best); `eval` of the best checkpoint, and of the final one with
-`--eval-seed 7`; `plot`; `compare --iterations 12` plus `eval` of its
-cmaes and rprop best checkpoints; `compare --train-fraction 0.7`; and the
+nested best) and once with `--optimizer nadam` (whose optimizer state
+holds a numpy scalar, `mu_product`, beside its arrays); `eval` of the
+best checkpoint, and of the final one with `--eval-seed 7`; `plot`;
+`compare --iterations 12` plus `eval` of its cmaes and rprop best
+checkpoints; `compare --train-fraction 0.7`; and the
 `tests/data/checkpoint_v1` fixture through `eval` and `--resume`.  Each
 command's exit code and stdout are kept in `commands.txt`, which is
 compared like any other file.  The stderr of the documented failures is
@@ -72,6 +74,10 @@ def _corpus() -> list[tuple[str, list[str]]]:
         ("train_sparse_resumed", train(30, "--config", "../eval_30.config",
                                        "--resume", "sparse_half/checkpoint.final",
                                        "--out", "sparse_resumed")),
+        ("train_nadam_half", train(15, "--optimizer", "nadam", "--out", "nadam_half")),
+        ("train_nadam_resumed", train(30, "--optimizer", "nadam",
+                                      "--resume", "nadam_half/checkpoint.final",
+                                      "--out", "nadam_resumed")),
         ("eval_best", evaluate("lr_0.01/checkpoint.best", "eval_best")),
         ("eval_final_seed", evaluate("lr_0.01/checkpoint.final", "eval_final_seed",
                                      "--eval-seed", "7")),
