@@ -33,7 +33,7 @@ from . import diffcore as dc
 from . import ensemble as ens
 from . import generator as gen
 from . import objective as obj
-from .marketdata import DataError, RangeError, ReturnPanel, SplitPanels, sample_window, write_text
+from .marketdata import DataError, RangeError, SplitPanels, sample_window, write_text
 from .optim import (
     BASELINE_HYPER,
     GENERATOR_HYPER,
@@ -300,6 +300,18 @@ def unpack_array(blob: dict | list) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
+def _tree(kind: str, config: TrainConfig, iteration: int, best: tuple[int, float], **body) -> dict:
+    """A checkpoint, arrays unpacked: `body` in every kind's envelope, `best` (iteration, MSE) last."""
+    return {
+        "format_version": CHECKPOINT_VERSION,
+        "kind": kind,
+        "config": config_to_flat(config),
+        "iteration": iteration,
+        **body,
+        "best": {"iteration": best[0], "validation_mse": best[1]},
+    }
+
+
 def _packed(tree):
     """`tree` with each numpy array and numpy scalar stored by `pack_array`."""
     if isinstance(tree, dict):
@@ -425,30 +437,19 @@ class _Snapshot:
         )
 
     def tree(self, config: TrainConfig) -> dict:
-        """The checkpoint document with its arrays unpacked: the format's one definition."""
-        return {
-            "format_version": CHECKPOINT_VERSION,
-            "kind": "generator",
-            "config": config_to_flat(config),
-            "iteration": self.iteration,
-            "params": gen.GeneratorParams.from_flat(config.generator, self.theta).as_dict(),
-            "state": {"h": self.state.h, "c": self.state.c},
-            "optimizer": {
+        """The generator checkpoint document with its arrays unpacked."""
+        return _tree(
+            "generator", config, self.iteration, (self.best_iteration, self.best_mse),
+            params=gen.GeneratorParams.from_flat(config.generator, self.theta).as_dict(),
+            state={"h": self.state.h, "c": self.state.c},
+            optimizer={
                 "kind": self.optimizer.kind.value,
                 "step": self.optimizer.step,
                 "arrays": self.optimizer.arrays,
             },
-            "rng": self.rng,
-            "eval_noise": self.eval_noise,
-            "best": {"iteration": self.best_iteration, "validation_mse": self.best_mse},
-        }
-
-    def encode(self, config: TrainConfig, best_state: dict | None = None) -> dict:
-        """The checkpoint document; `best_state` is nested when given."""
-        payload = _packed(self.tree(config))
-        if best_state is not None:
-            payload["best_state"] = best_state
-        return payload
+            rng=self.rng,
+            eval_noise=self.eval_noise,
+        )
 
     @classmethod
     def decode(cls, payload: dict, config: TrainConfig, path: str = "") -> "_Snapshot":
@@ -487,7 +488,8 @@ def checkpoint_population(payload: dict, eval_seed: int | None) -> tuple[TrainCo
         rule = payload.get("optimizer")
         if rule not in [k.value for k in OptimizerKind]:
             raise DataError(f"baseline checkpoint names no optimizer: {rule!r}")
-        template = _baseline_tree(config, rule, 0, np.zeros(config.generator.n_assets), (0, 0.0))
+        template = _tree("baseline", config, 0, (0, 0.0), optimizer=rule,
+                         logits=np.zeros(config.generator.n_assets))
         logits = _read(payload, {**template, "config": {}})["logits"]  # config: parsed above
         return config, gen.sparse_population(logits)
     snapshot = _Snapshot.decode(payload, config)
@@ -526,10 +528,13 @@ def _resume_from(config: TrainConfig, resume: dict) -> tuple[_Snapshot, _Snapsho
 class _RunRecord:
     """One run's losses, validation cadence, best iteration and timings."""
 
-    def __init__(self, config: TrainConfig, validation: ReturnPanel,
-                 best_iteration: int = 0, best_mse: float = float("inf")):
-        self.config, self.validation = config, validation
-        self.best_iteration, self.best_mse = best_iteration, best_mse  # a resumed snapshot's best
+    def __init__(self, config: TrainConfig, data: SplitPanels):
+        if data.train.n_assets != config.generator.n_assets:
+            raise DataError(
+                f"config expects {config.generator.n_assets} assets, data has {data.train.n_assets}"
+            )
+        self.config, self.validation = config, data.validation
+        self.best_iteration, self.best_mse = 0, float("inf")  # a resumed run sets its snapshot's
         self.losses, self.evals, self.wall_clock = [], [], []  # LossReport, EvalRecord, seconds
 
     def record(self, i: int, loss: obj.LossReport, population, started: float,
@@ -581,18 +586,15 @@ def train_generator(
     population produced from the fixed evaluation noise is bagged and
     scored on the validation panel.
     """
-    if data.train.n_assets != config.generator.n_assets:
-        raise DataError(
-            f"config expects {config.generator.n_assets} assets, data has {data.train.n_assets}"
-        )
     kind = OptimizerKind(config.optimizer)
+    run = _RunRecord(config, data)
     if resume is None:
         start, best = _Snapshot.start(config), None
     else:
         start, best = _resume_from(config, resume)
+    run.best_iteration, run.best_mse = start.best_iteration, start.best_mse
     theta, state, opt_state = start.theta, start.state, start.optimizer
     rngs = {name: _rng_from_state(rng_state) for name, rng_state in start.rng.items()}
-    run = _RunRecord(config, data.validation, start.best_iteration, start.best_mse)
 
     def snapshot(i: int) -> _Snapshot:
         rng_states = {name: rng.bit_generator.state for name, rng in rngs.items()}
@@ -621,9 +623,10 @@ def train_generator(
 
     # set by now: a resumed run starts from its best, and a fresh one validates its
     # last iteration, whose finite MSE beats the initial inf
-    best_checkpoint = best.encode(config)
+    best_checkpoint = _packed(best.tree(config))
     final_checkpoint = (best_checkpoint if best.iteration == config.iterations  # its own best
-                        else snapshot(config.iterations).encode(config, best_checkpoint))
+                        else {**_packed(snapshot(config.iterations).tree(config)),
+                              "best_state": best_checkpoint})
     return run.artifacts(
         final_checkpoint, best_checkpoint,
         evaluations_used=config.generator.population * config.iterations,
@@ -633,20 +636,6 @@ def train_generator(
 
 # --------------------------------------------------------------------------
 # baselines
-
-def _baseline_tree(config: TrainConfig, rule: str, iteration: int, logits: np.ndarray,
-                   best: tuple[int, float]) -> dict:
-    """A baseline checkpoint with its logits unpacked; `best` is the best iteration and its MSE."""
-    return {
-        "format_version": CHECKPOINT_VERSION,
-        "kind": "baseline",
-        "optimizer": rule,
-        "config": config_to_flat(config),
-        "iteration": iteration,
-        "logits": logits,
-        "best": {"iteration": best[0], "validation_mse": best[1]},
-    }
-
 
 def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) -> RunArtifacts:
     """Directly optimise one logits vector on the full training panel.
@@ -659,7 +648,7 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
     """
     kind = OptimizerKind(kind)
     n = data.train.n_assets
-    run = _RunRecord(config, data.validation)
+    run = _RunRecord(config, data)
     best_logits = np.zeros(n)
 
     def record(i: int, logits: np.ndarray, mse: float, started: float, last: bool = False) -> None:
@@ -714,8 +703,9 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
 
     best = (run.best_iteration, run.best_mse)
     art = run.artifacts(
-        _packed(_baseline_tree(config, kind.value, last, logits, best)),
-        _packed(_baseline_tree(config, kind.value, run.best_iteration, best_logits, best)),
+        _packed(_tree("baseline", config, last, best, optimizer=kind.value, logits=logits)),
+        _packed(_tree("baseline", config, run.best_iteration, best, optimizer=kind.value,
+                      logits=best_logits)),
         evaluations_used=evaluations_used,
     )
     art.config["optimizer"] = kind.value  # a CMA-ES config holds a gradient rule in its place

@@ -546,8 +546,8 @@ def test_resume_from_v1_checkpoint_matches_its_v2_encoding(tmp_path, capsys):
     v1 = trainer.load_checkpoint(V1_FIXTURE / "generator.checkpoint")
     assert v1["format_version"] == 1
     config = trainer.config_from_flat(v1["config"])
-    best = trainer._Snapshot.decode(v1["best_state"], config).encode(config)
-    v2 = trainer._Snapshot.decode(v1, config).encode(config, best)
+    best = trainer._packed(trainer._Snapshot.decode(v1["best_state"], config).tree(config))
+    v2 = {**trainer._packed(trainer._Snapshot.decode(v1, config).tree(config)), "best_state": best}
     assert v2["format_version"] == 2
     trainer.save_checkpoint(v2, tmp_path / "v2.checkpoint")
     base = ["train", "--data", str(V1_FIXTURE / "prices.csv"),
@@ -718,8 +718,8 @@ def fuzz_sources(workspace, tmp_path_factory):
         "docs": {"generator": generator, "baseline": baseline},
         "trees": {
             "generator": trainer._Snapshot.start(run_config).tree(run_config),
-            "baseline": trainer._baseline_tree(run_config, "rprop", 0,
-                                               np.zeros(run_config.generator.n_assets), (0, 0.0)),
+            "baseline": trainer._tree("baseline", run_config, 0, (0, 0.0), optimizer="rprop",
+                                      logits=np.zeros(run_config.generator.n_assets)),
         },
     }
     sources["unmutated"] = {kind: _fuzz_run(workspace, sources, kind, doc)
