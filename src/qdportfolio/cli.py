@@ -419,6 +419,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a command is required (ingest, synth, train, eval, compare, plot)")
+        trainer.one_blas_thread()  # a command's bytes then do not depend on OPENBLAS_NUM_THREADS
         # a non-finite result is reported once, by the error line below, not also as a warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return _COMMANDS[args.command](args)

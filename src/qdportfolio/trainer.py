@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import base64
 import csv
+import ctypes
 import enum
 import io
 import json
@@ -456,15 +457,20 @@ class _Snapshot:
         """A generator checkpoint of `config`, at key path `path`, of any readable version."""
         start = cls.start(config)
         tree = _read(payload, {**start.tree(config), "config": {}}, path)  # config: parsed already
+        rng = {}
+        for name, state in tree["rng"].items():  # a state numpy refuses is refused here, not mid-run
+            try:
+                rng[name] = _rng_from_state(state).bit_generator.state
+            except OverflowError:  # a state, inc or uinteger too large for numpy's C types
+                key = f"{path}.rng.{name}".lstrip(".")
+                raise DataError(f"malformed checkpoint: {key} is not a state numpy can hold") from None
         return cls(
             iteration=tree["iteration"],
             theta=np.concatenate([tree["params"][name].ravel() for name in gen.PARAM_ORDER]),
             state=gen.GeneratorState(**tree["state"]),
             optimizer=replace(start.optimizer, step=tree["optimizer"]["step"],
                               arrays=tree["optimizer"]["arrays"]),
-            rng={  # a state numpy refuses is refused here, not mid-run
-                name: _rng_from_state(state).bit_generator.state for name, state in tree["rng"].items()
-            },
+            rng=rng,
             eval_noise=tree["eval_noise"],
             best_iteration=tree["best"]["iteration"],
             best_mse=tree["best"]["validation_mse"],
@@ -658,14 +664,9 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
             best_logits = logits.copy()
 
     if kind is OptimizerKind.CMAES:
-        returns = data.train.returns
-        index = data.train.index_returns
-
-        def objective(v: np.ndarray) -> float:
-            shifted = v - v.max()
-            e = np.exp(shifted)
-            w = e / e.sum()
-            deviation = returns @ w - index
+        def objective(v: np.ndarray) -> float:  # the softmax weights' tracking MSE
+            e = np.exp(v - v.max())
+            deviation = data.train.returns @ (e / e.sum()) - data.train.index_returns
             return float(np.mean(deviation * deviation))
 
         seed = int(np.random.SeedSequence(config.seed).generate_state(1)[0])
@@ -729,6 +730,19 @@ def _compare_task(config: TrainConfig, data: SplitPanels, kind: OptimizerKind | 
     return train_baseline(kind, baseline_config, data)
 
 
+def one_blas_thread() -> None:
+    """Set the OpenBLAS numpy loaded to one thread, so no result depends on the thread count."""
+    if sys.platform == "linux":  # elsewhere, the library's own setting stands
+        with open("/proc/self/maps") as maps:
+            blas = {line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]}
+        for path in blas:
+            lib = ctypes.CDLL(path)
+            for name in ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                         "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_"):
+                if hasattr(lib, name):
+                    getattr(lib, name)(1)
+
+
 def _start_worker(parent: int) -> None:
     """`compare_optimizers`' worker set-up: one BLAS thread, and end with the parent.
 
@@ -738,21 +752,13 @@ def _start_worker(parent: int) -> None:
     is killed: otherwise a killed `compare` leaves forked workers blocked on
     the task queue for good.
     """
-    import ctypes
     import signal
 
     # Ctrl-C reaches the whole process group; a caller that ignores it keeps its workers
     if signal.getsignal(signal.SIGINT) is signal.default_int_handler:
         signal.signal(signal.SIGINT, signal.SIG_DFL)
+    one_blas_thread()  # here too: compare_optimizers called as a library keeps the caller's setting
     if sys.platform == "linux":
-        with open("/proc/self/maps") as maps:  # the OpenBLAS numpy loaded, if any
-            blas = {line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]}
-        for path in blas:
-            lib = ctypes.CDLL(path)
-            for name in ("openblas_set_num_threads", "openblas_set_num_threads64_",
-                         "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_"):
-                if hasattr(lib, name):
-                    getattr(lib, name)(1)
         prctl = ctypes.CDLL(None).prctl
         prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
         prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG: killed when the parent ends

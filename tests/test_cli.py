@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
@@ -484,6 +486,19 @@ _CHECKPOINT_FAULTS = {
         lambda payload: payload["best"].update(validation_mse=True), "best.validation_mse True",
     ),
     "bad_rng": (lambda payload: payload["rng"].update(noise={"state": 5}), "rng.noise"),
+    # a stream state numpy cannot hold: a PCG64 state or inc of 2**128 or more, a uinteger of 2**32
+    "huge_rng_state": (
+        lambda payload: payload["rng"]["noise"]["state"].update(state=2**200),
+        "rng.noise is not a state numpy can hold",
+    ),
+    "huge_rng_inc": (
+        lambda payload: payload["rng"]["noise"]["state"].update(inc=2**128 + 5),
+        "rng.noise is not a state numpy can hold",
+    ),
+    "huge_rng_uinteger": (
+        lambda payload: payload["rng"]["windows"].update(uinteger=2**32),
+        "rng.windows is not a state numpy can hold",
+    ),
     # well-formed arrays that do not fit the configuration stored beside them
     "short_param": (_shorten_dense_b, "params.dense_b"),
     "state_shape": (
@@ -852,6 +867,39 @@ def test_an_unknown_checkpoint_key_changes_no_byte(workspace, fuzz_sources, data
     assert outcomes.pop("population").tobytes() == unmutated["population"].tobytes()
     assert outcomes == {name: value for name, value in unmutated.items() if name != "population"}
     assert all(outcome[0] == 0 for outcome in outcomes.values() if isinstance(outcome, tuple))
+
+
+def test_resume_names_a_nested_stream_numpy_cannot_hold(workspace, fuzz_sources, tmp_path, capsys):
+    doc = copy.deepcopy(fuzz_sources["docs"]["generator"])
+    doc["best_state"]["rng"]["noise"]["state"]["state"] = 2**128 + 5
+    path = tmp_path / "checkpoint"
+    path.write_text(json.dumps(doc))
+    argv = _fuzz_commands(workspace, fuzz_sources, "generator", path)["resume"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: data: malformed checkpoint: best_state.rng.noise is not a state numpy can hold\n"
+    )
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity") else True,
+                    reason="OpenBLAS runs one thread on one usable CPU")
+def test_train_writes_the_same_bytes_on_any_blas_thread_count(tmp_path, capsys):
+    # 100 assets at the default window and population: OpenBLAS splits these products
+    # across threads, and before `train` ran on one thread the bytes differed
+    assert main(["synth", "--out", str(tmp_path / "data"), "--assets", "100", "--days", "400",
+                 "--seed", "77"]) == 0
+    capsys.readouterr()
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": str(Path(trainer.__file__).parents[1])}
+        subprocess.run([sys.executable, "-m", "qdportfolio.cli", "train",
+                        "--data", str(tmp_path / "data" / "prices.csv"), "--iterations", "2",
+                        "--seed", "77", "--out", str(out)],
+                       env=env, check=True, stdout=subprocess.DEVNULL)
+        written[threads] = [(out / name).read_bytes() for name in ("checkpoint.final", "checkpoint.best")]
+    assert written["1"] == written["2"]
 
 
 def test_every_written_file_is_moved_into_place(workspace, tmp_path, capsys, monkeypatch):

@@ -280,6 +280,26 @@ def test_train_generator_input_validation():
         train_generator(make_config(window=1000), data)
 
 
+@pytest.mark.parametrize("kind", [*GRADIENT_KINDS, OptimizerKind.CMAES], ids=lambda kind: kind.value)
+def test_baseline_refuses_a_panel_of_another_asset_count_before_it_starts(monkeypatch, kind):
+    def started(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(trainer, "step", started)
+    monkeypatch.setattr(trainer, "cmaes_run", started)
+    with pytest.raises(DataError, match="^config expects 8 assets, data has 5$"):
+        train_baseline(kind, make_config(generator=replace(GEN, n_assets=8)), make_data())
+
+
+def test_compare_fails_every_run_on_a_panel_of_another_asset_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # runs here
+    result = compare_optimizers(make_config(generator=replace(GEN, n_assets=8)), make_data())
+    assert len(result.rows) == 11
+    assert result.artifacts == {}
+    for row in result.rows:
+        assert (row.status, row.error) == ("failed", "DataError: config expects 8 assets, data has 5")
+
+
 def test_numerical_blowup_becomes_train_error():
     config = make_config(optimizer=OptimizerKind.SGD,
                          hyper=Hyper(learning_rate=float("inf")))
