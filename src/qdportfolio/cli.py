@@ -94,71 +94,42 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qdportfolio", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add_common(p: _Parser, *, data=False, out=False, seed=False):
-        p.add_argument("--config", metavar="PATH", default=None)
-        if data:
-            p.add_argument("--data", metavar="PATH", default=None)
-            p.add_argument("--index-column", metavar="NAME", default=None)
-        if out:
-            p.add_argument("--out", metavar="DIR", default=None)
-        if seed:
-            p.add_argument("--seed", metavar="U64", type=int, default=None)
+    def command(name: str, help: str, *keys: str, paths=("config", "data", "out")) -> _Parser:
+        """Subcommand `name` taking `--<path>` for each of `paths` and `--<key>` for each
+        configuration key in `keys`, converted as the key's type when that is a number."""
+        p = sub.add_parser(name, help=help)
+        for path in paths:
+            p.add_argument(f"--{path}")
+        for key in keys:
+            number = _KEYS[key].type if _KEYS[key].type in (int, float) else None
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=number)
+        return p
 
-    p_ingest = sub.add_parser("ingest", help="validate and normalize a price CSV")
-    add_common(p_ingest, data=True, out=True)
-
-    p_synth = sub.add_parser("synth", help="write a synthetic sparse-index dataset")
-    add_common(p_synth, out=True, seed=True)
-    p_synth.add_argument("--index-column", metavar="NAME", default=None)
+    run_keys = ("index_column", "seed", "iterations", "population", "lambda", "window",
+                "optimizer", "train_fraction", "eval_seed")
+    command("ingest", "validate and normalize a price CSV", "index_column")
+    p_synth = command("synth", "write a synthetic sparse-index dataset", "index_column", "seed",
+                      paths=("config", "out"))
     p_synth.add_argument("--assets", metavar="N", type=int, default=20)
     p_synth.add_argument("--days", metavar="T", type=int, default=400)
     p_synth.add_argument("--sparse", metavar="K", type=int, default=5)
     p_synth.add_argument("--noise-scale", metavar="F", type=float, default=0.0)
-
-    def add_train_flags(p: _Parser):
-        p.add_argument("--iterations", metavar="N", type=int, default=None)
-        p.add_argument("--population", metavar="B", type=int, default=None)
-        p.add_argument("--lambda", dest="lambda_", metavar="F", type=float, default=None)
-        p.add_argument("--window", metavar="W", type=int, default=None)
-        p.add_argument("--optimizer", metavar="KIND", default=None)
-        p.add_argument("--train-fraction", metavar="F", type=float, default=None)
-        p.add_argument("--eval-seed", metavar="U64", type=int, default=None)
-
-    p_train = sub.add_parser("train", help="meta-train the portfolio generator")
-    add_common(p_train, data=True, out=True, seed=True)
-    add_train_flags(p_train)
-    p_train.add_argument("--resume", metavar="CHECKPOINT", default=None)
-
-    p_eval = sub.add_parser("eval", help="score a checkpoint on the validation panel")
+    p_train = command("train", "meta-train the portfolio generator", *run_keys)
+    p_train.add_argument("--resume", metavar="CHECKPOINT")
+    p_eval = command("eval", "score a checkpoint on the validation panel",
+                     "index_column", "train_fraction", "eval_seed")
     p_eval.add_argument("checkpoint", metavar="CHECKPOINT")
-    add_common(p_eval, data=True, out=True)
-    p_eval.add_argument("--train-fraction", metavar="F", type=float, default=None)
-    p_eval.add_argument("--eval-seed", metavar="U64", type=int, default=None)
-
-    p_compare = sub.add_parser("compare", help="run every optimizer plus the generator")
-    add_common(p_compare, data=True, out=True, seed=True)
-    add_train_flags(p_compare)
-
-    p_plot = sub.add_parser("plot", help="render cumulative-return curves as SVG")
-    p_plot.add_argument("--data", metavar="PATH", default=None)
-    p_plot.add_argument("--out", metavar="DIR", default=None)
-
+    command("compare", "run every optimizer plus the generator", *run_keys)
+    command("plot", "render cumulative-return curves as SVG", paths=("data", "out"))
     return parser
 
 
 def _resolve(args) -> dict:
-    """Layer defaults, then the config file, then explicit flags.
-
-    A flag sets the configuration key its destination names (`lambda_`
-    sets `lambda`).
-    """
+    """Layer defaults, then the config file, then explicit flags."""
     resolved = dict(DEFAULTS)
     if args.config:
         resolved.update(parse_config_file(args.config))
-    for attr, value in vars(args).items():
-        key = attr.rstrip("_")
-        if key in _KEYS and value is not None:
-            resolved[key] = value
+    resolved.update({k: v for k, v in vars(args).items() if k in _KEYS and v is not None})
     for key in ("seed", "eval_seed"):
         if resolved[key] is not None and resolved[key] < 0:
             raise UsageError(f"{key} must be non-negative, got {resolved[key]}")

@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, artifact layout, determinism, SVG."""
+import argparse
 import base64
 import copy
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdportfolio import trainer
+from qdportfolio import cli, trainer
 from qdportfolio.ensemble import BAG_MODES
 from qdportfolio.generator import GeneratorConfig
 from qdportfolio.marketdata import DataError, compute_log_returns, load_prices, time_split
@@ -1246,6 +1248,75 @@ def test_documented_failures_map_to_their_exit_codes(workspace, tmp_path, capsys
     assert reason in err
     if category == "usage":  # refused before anything is written
         assert not (tmp_path / "out").exists()
+
+
+# ----------------------------------------------------------------------
+# the flags: each configuration key's flag comes from the config schema
+
+_PATHS = {"--config", "--data", "--out"}
+_RUN_FLAGS = _PATHS | {"--index-column", "--seed", "--iterations", "--population", "--lambda",
+                       "--window", "--optimizer", "--train-fraction", "--eval-seed"}
+_FLAGS = {
+    "ingest": _PATHS | {"--index-column"},
+    "synth": {"--config", "--out", "--index-column", "--seed",
+              "--assets", "--days", "--sparse", "--noise-scale"},
+    "train": _RUN_FLAGS | {"--resume"},
+    "eval": _PATHS | {"--index-column", "--train-fraction", "--eval-seed"},
+    "compare": _RUN_FLAGS,
+    "plot": {"--data", "--out"},
+}
+
+
+def _subcommands() -> dict:
+    (commands,) = [action.choices for action in cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return commands
+
+
+def test_each_command_takes_exactly_its_flags():
+    commands = _subcommands()
+    assert set(commands) == set(_FLAGS)
+    for name, parser in commands.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert flags - {"-h", "--help"} == _FLAGS[name], name
+        positionals = [action.dest for action in parser._actions if not action.option_strings]
+        assert positionals == (["checkpoint"] if name == "eval" else []), name
+
+
+def test_each_config_key_flag_converts_as_its_schema_type():
+    expected = {"seed": 7, "iterations": 7, "population": 7, "window": 7, "eval_seed": 7,
+                "lambda": 7.0, "train_fraction": 7.0, "optimizer": "7", "index_column": "7"}
+    seen = set()
+    for name, parser in _subcommands().items():
+        positional = ["ckpt"] if name == "eval" else []
+        for action in parser._actions:
+            key = action.option_strings[-1][2:].replace("-", "_") if action.option_strings else ""
+            if key not in cli._KEYS:
+                continue
+            value = getattr(parser.parse_args([*action.option_strings, "7", *positional]), action.dest)
+            assert (type(value), value) == (type(expected[key]), expected[key]), (name, key)
+            seen.add(key)
+    assert seen == set(expected)
+    with pytest.raises(UsageError, match="invalid int value: '7.5'"):
+        cli._build_parser().parse_args(["train", "--window", "7.5"])
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_every_command_prints_its_help(command, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: qdportfolio {command}")
+
+
+def test_readme_lists_every_config_key():
+    """README's `Keys:` list, plus `n_assets` (described on its own), is the schema's key set."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("\nKeys: ", 1)[1].split(". Unknown keys", 1)[0]
+    listed = re.sub(r"\([^)]*\)", "", listed)  # a key's values, such as bag_mode's
+    names = re.findall(r"`(\w+)`", listed)
+    assert len(names) == len(set(names))
+    assert set(names) | {"n_assets"} == set(cli._KEYS)
 
 
 # ----------------------------------------------------------------------
