@@ -188,9 +188,10 @@ class FlatKey:
     field: str | None = None    # None: a data key, outside TrainConfig
 
     def parse(self, value):
-        """This key's value from config-file text or from a checkpoint's JSON.
+        """This key's value from config-file text, a flag or a checkpoint's JSON.
 
-        Blank text or null leaves a key that is unset by default unset.
+        Blank text or null leaves a key that is unset by default unset.  A float
+        must be finite: NaN would pass every range check its dataclass makes.
         """
         text = value.strip() if isinstance(value, str) else value
         if text in (None, "") and self.default is None:
@@ -200,7 +201,10 @@ class FlatKey:
                 return _BOOL_WORDS[str(text).lower()]
             if isinstance(text, bool) or (self.type is int and isinstance(text, float)):
                 raise TypeError  # JSON true and false are no numbers, and a fraction no count
-            return self.type(text)
+            parsed = self.type(text)
+            if self.type is float and not math.isfinite(parsed):
+                raise ValueError
+            return parsed
         except (KeyError, TypeError, ValueError, OverflowError):
             raise DataError(f"bad value for configuration key {self.name}: {value!r}") from None
 
@@ -362,7 +366,7 @@ def _read(doc, template, path: str = ""):
 
 
 def save_checkpoint(payload: dict, path: str | Path) -> None:
-    write_text(path, json.dumps(payload, sort_keys=True))
+    write_text(path, json.dumps(payload, sort_keys=True, allow_nan=False))
 
 
 def load_checkpoint(path: str | Path) -> dict:
@@ -554,15 +558,16 @@ class _RunRecord:
         self.losses.append(loss)
         best = False
         if last or i % self.config.eval_every == 0 or i == self.config.iterations:
-            report = ens.evaluate_population(
-                population(), self.validation, bag_mode=self.config.bag_mode
-            )
+            report = self.score(population())
             self.evals.append(EvalRecord(iteration=i, report=report))
             best = report.ensemble_mse < self.best_mse
             if best:
                 self.best_iteration, self.best_mse = i, report.ensemble_mse
         self.wall_clock.append(time.monotonic() - started)
         return best
+
+    def score(self, population: gen.Population) -> ens.EvalReport:
+        return ens.evaluate_population(population, self.validation, bag_mode=self.config.bag_mode)
 
     def artifacts(self, final_checkpoint: dict, best_checkpoint: dict,
                   evaluations_used: int, start_iteration: int = 0) -> RunArtifacts:
@@ -591,6 +596,11 @@ def train_generator(
     detached recurrent state forward.  On the evaluation cadence the
     population produced from the fixed evaluation noise is bagged and
     scored on the validation panel.
+
+    A resumed run first scores its checkpoint's best state the same way and
+    requires the stored best MSE bit for bit, so the checkpoint must fit this
+    data and be resumed on the BLAS thread count that wrote it (the CLI runs
+    one thread; `one_blas_thread` sets it for a library caller).
     """
     kind = OptimizerKind(config.optimizer)
     run = _RunRecord(config, data)
@@ -599,6 +609,16 @@ def train_generator(
     else:
         start, best = _resume_from(config, resume)
     run.best_iteration, run.best_mse = start.best_iteration, start.best_mse
+
+    def population(params: gen.GeneratorParams, state: gen.GeneratorState) -> gen.Population:
+        return gen.sparse_population(gen.forward(params, state, start.eval_noise).logits.value)
+
+    if best is not None:
+        params = gen.GeneratorParams.from_flat(config.generator, best.theta)
+        recomputed = run.score(population(params, best.state)).ensemble_mse
+        if not recomputed == start.best_mse == best.best_mse:
+            raise DataError(f"checkpoint does not match this data: its best validation MSE "
+                            f"{start.best_mse!r} recomputes to {recomputed!r}")
     theta, state, opt_state = start.theta, start.state, start.optimizer
     rngs = {name: _rng_from_state(rng_state) for name, rng_state in start.rng.items()}
 
@@ -621,8 +641,7 @@ def train_generator(
             grads = np.concatenate([result.param_nodes[name].grad.ravel() for name in gen.PARAM_ORDER])
             theta, opt_state = step(kind, theta, grads, opt_state, config.hyper)
             params, state = gen.GeneratorParams.from_flat(config.generator, theta), result.new_state
-            if run.record(i, result.report, lambda: gen.sparse_population(
-                    gen.forward(params, state, start.eval_noise).logits.value), t0):
+            if run.record(i, result.report, partial(population, params, state), t0):
                 best = snapshot(i)
         except (dc.NonFiniteError, OptimError) as e:
             raise TrainError(f"iteration {i}: {e}") from e

@@ -518,6 +518,14 @@ _CHECKPOINT_FAULTS = {
     # a configuration number keeps its JSON type
     "fraction_window": (lambda payload: payload["config"].update(window=10.9), "window"),
     "bool_lambda": (lambda payload: payload["config"].update({"lambda": True}), "lambda"),
+    "nan_lambda": (
+        lambda payload: payload["config"].update({"lambda": float("nan")}),
+        "bad value for configuration key lambda: nan",
+    ),
+    "infinite_eps": (
+        lambda payload: payload["config"].update(eps=float("inf")),
+        "bad value for configuration key eps: inf",
+    ),
     # a shape entry keeps its JSON type
     "text_shape": (lambda payload: payload["params"]["dense_b"].update(shape="5"), "params.dense_b"),
     "fraction_shape": (
@@ -678,6 +686,33 @@ def test_resume_refuses_a_nested_best_value_of_the_wrong_type(workspace, tmp_pat
                         "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: data: ") and f"best_state.{key} {value!r}" in err
+
+
+def _reversed_assets(prices: Path, tmp: Path) -> Path:
+    """The price CSV at `prices` with its asset columns in reverse order."""
+    header, *rows = list(csv.reader(io.StringIO(prices.read_text())))
+    assert header[:2] == ["date", "INDEX"]
+    path = tmp / "reversed.csv"
+    path.write_text("".join(",".join(row[:2] + row[:1:-1]) + "\n" for row in [header, *rows]))
+    return path
+
+
+@pytest.mark.parametrize("case", ["tiny_best", "reversed_assets"])
+def test_resume_refuses_a_best_that_does_not_recompute(workspace, tmp_path, capsys, case):
+    payload = json.loads((workspace["run"] / "checkpoint.final").read_text())
+    prices = workspace["prices"]
+    if case == "tiny_best":  # well-formed, and never beaten by the resumed run
+        payload["best"]["validation_mse"] = 1e-300
+    else:  # each weight would land on another asset
+        prices = _reversed_assets(prices, tmp_path)
+    checkpoint = tmp_path / "checkpoint.final"
+    checkpoint.write_text(json.dumps(payload))
+    assert main(["train", "--data", str(prices), "--config", str(workspace["config"]),
+                 "--iterations", "6", "--resume", str(checkpoint),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data: checkpoint does not match this data"), err
+    assert not (tmp_path / "out" / "checkpoint.best").exists()
 
 
 def test_checkpoints_holding_dropped_keys_read_as_before(workspace, tmp_path, capsys):
@@ -932,9 +967,13 @@ def test_every_written_file_is_moved_into_place(workspace, tmp_path, capsys, mon
     assert not [p for p in on_disk if p.suffix == ".tmp"]
 
 
+# A finite rate whose first update overflows: RMSprop's first step is ten times the rate.
+OVERFLOWING_RATE = "optimizer=rmsprop\nlearning_rate=1e308\n"
+
+
 def test_numerical_errors_exit_3_after_config_written(workspace, tmp_path, capsys):
     config = tmp_path / "blowup.config"
-    config.write_text(SMALL_ARCH + "optimizer=sgd\nlearning_rate=inf\n")
+    config.write_text(SMALL_ARCH + OVERFLOWING_RATE)
     out = tmp_path / "run"
     assert main(["train", "--data", str(workspace["prices"]),
                  "--config", str(config), "--out", str(out)]) == 3
@@ -1078,6 +1117,24 @@ _DOCUMENTED_FAILURES = {
         lambda ws, tmp: ["synth", "--out", str(tmp / "out"), "--noise-scale", "nan"],
         1, "usage", "noise scale must be finite and non-negative, got nan",
     ),
+    # a float key is finite: NaN passes every range check, and no run means an infinite one
+    "nan_lambda_flag": (
+        lambda ws, tmp: _train(ws, tmp, "--lambda", "nan"),
+        1, "usage", "bad value for configuration key lambda: nan",
+    ),
+    "config_infinite_eps": (
+        lambda ws, tmp: _train(ws, tmp, "--config", _config_file(tmp, "eps=inf\n")),
+        1, "usage", "bad value for configuration key eps: 'inf'",
+    ),
+    "config_infinite_rate": (
+        lambda ws, tmp: _train(ws, tmp, "--config", _config_file(tmp, "learning_rate=inf\n")),
+        1, "usage", "bad value for configuration key learning_rate: 'inf'",
+    ),
+    "compare_infinite_sigma0": (
+        lambda ws, tmp: ["compare", "--data", str(ws["prices"]), "--out", str(tmp / "out"),
+                         "--config", _config_file(tmp, "cmaes_sigma0=inf\n")],
+        1, "usage", "bad value for configuration key cmaes_sigma0: 'inf'",
+    ),
     "train_fraction_flag": (
         lambda ws, tmp: _train(ws, tmp, "--train-fraction", "2"), 1, "usage", "train_fraction",
     ),
@@ -1202,8 +1259,7 @@ _DOCUMENTED_FAILURES = {
         2, "data", "logits holds non-finite values",
     ),
     "infinite_rate": (
-        lambda ws, tmp: _train(ws, tmp, "--config",
-                               _config_file(tmp, "optimizer=sgd\nlearning_rate=inf\n")),
+        lambda ws, tmp: _train(ws, tmp, "--config", _config_file(tmp, OVERFLOWING_RATE)),
         3, "numerical", "iteration 1",
     ),
     "eval_overflow": (

@@ -267,6 +267,23 @@ def test_resume_rejects_mismatched_config():
                         resume=baseline.final_checkpoint)
 
 
+@pytest.mark.parametrize("edit", ["final", "nested", "data"])
+def test_resume_refuses_a_best_that_does_not_recompute(edit):
+    """The stored best MSE, at the top or in the nested best, must be what the data scores."""
+    data = make_data()
+    config = make_config(iterations=8, hyper=Hyper(learning_rate=0.3))
+    first = train_generator(replace(config, iterations=4), data)
+    assert first.best_iteration == 3
+    resume = json.loads(canon(first.final_checkpoint))
+    best = resume if edit == "final" else resume["best_state"]
+    if edit == "data":
+        data = make_data(seed=5)
+    else:  # one unit in the last place
+        best["best"]["validation_mse"] = float(np.nextafter(best["best"]["validation_mse"], 1.0))
+    with pytest.raises(DataError, match="checkpoint does not match this data"):
+        train_generator(config, data, resume=resume)
+
+
 def test_train_generator_input_validation():
     data = make_data()
     with pytest.raises(DataError, match="assets"):
@@ -336,6 +353,12 @@ def test_checkpoint_file_round_trip(tmp_path):
     assert loaded["iteration"] == 6
     expected = checkpoint_population(run.final_checkpoint, None)[1]
     np.testing.assert_array_equal(population.weights, expected.weights)
+
+
+def test_save_checkpoint_writes_no_non_finite_number(tmp_path):
+    with pytest.raises(ValueError):
+        save_checkpoint({"best": {"validation_mse": float("nan")}}, tmp_path / "checkpoint")
+    assert not (tmp_path / "checkpoint").exists()
 
 
 def test_load_checkpoint_errors(tmp_path):
