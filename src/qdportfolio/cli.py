@@ -95,8 +95,11 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     def command(name: str, help: str, *keys: str, paths=("config", "data", "out")) -> _Parser:
-        """Subcommand `name` taking `--<path>` for each of `paths` and `--<key>` for each
-        configuration key in `keys`, converted as the key's type when that is a number."""
+        """Subcommand `name`, taking `--<path>` per path and `--<key>` per configuration key.
+
+        A key's flag converts its value as the key's type when that is a number;
+        any other stays text (`--optimizer`), which `config_from_flat` parses.
+        """
         p = sub.add_parser(name, help=help)
         for path in paths:
             p.add_argument(f"--{path}")

@@ -1267,6 +1267,12 @@ _DOCUMENTED_FAILURES = {
                          "--data", str(ws["prices"]), "--out", str(tmp / "out")],
         3, "numerical", "non-finite value produced by primitive",
     ),
+    # --resume scores the stored best state before its first iteration, as eval scores it
+    "resume_overflow": (
+        lambda ws, tmp: _train(ws, tmp, "--iterations", "6", "--resume",
+                               _overflowing_checkpoint(ws, tmp, conv_w=1.7e308, conv_b=1.7e308)),
+        3, "numerical", "non-finite value produced by primitive 'conv1d_valid'",
+    ),
     # the matmuls overflow and their sum is invalid: no numpy warning precedes the error line
     "eval_lstm_overflow": (
         lambda ws, tmp: ["eval", _overflowing_checkpoint(ws, tmp, lstm_wx=1.7e308, lstm_wh=-1.7e308),
