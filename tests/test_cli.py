@@ -13,6 +13,7 @@ import tempfile
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -1007,6 +1008,21 @@ def _not_utf8(tmp, text):
     return str(path)
 
 
+def _not_utf8_last_row(tmp):
+    """A price CSV of 60,000 rows, far more than one read of the file, whose last cell holds 0xff."""
+    first = date(1900, 1, 1).toordinal()
+    rows = "".join(f"{date.fromordinal(first + i)},1.0,1.0\n" for i in range(60_000))
+    path = tmp / "latin.txt"
+    path.write_bytes(b"date,INDEX,A\n" + rows.encode()[:-2] + b"\xff\n")
+    return str(path)
+
+
+def _text_file(tmp, name, text):
+    path = tmp / name
+    path.write_text(text)
+    return str(path)
+
+
 def _directory(tmp, name):
     """A directory where a file of that name belongs."""
     path = tmp / "given" / name
@@ -1126,6 +1142,10 @@ _DOCUMENTED_FAILURES = {
         lambda ws, tmp: _train(ws, tmp, "--config", _config_file(tmp, "eps=inf\n")),
         1, "usage", "bad value for configuration key eps: 'inf'",
     ),
+    "config_zero_eps": (
+        lambda ws, tmp: _train(ws, tmp, "--config", _config_file(tmp, "eps=0\n")),
+        1, "usage", "eps must be positive",
+    ),
     "config_infinite_rate": (
         lambda ws, tmp: _train(ws, tmp, "--config", _config_file(tmp, "learning_rate=inf\n")),
         1, "usage", "bad value for configuration key learning_rate: 'inf'",
@@ -1182,6 +1202,25 @@ _DOCUMENTED_FAILURES = {
         lambda ws, tmp: ["ingest", "--data", _not_utf8(tmp, "date,INDEX,A?\n2020-01-01,1.0,1.0\n"),
                          "--out", str(tmp / "out")],
         2, "data", "latin.txt is not UTF-8 text",
+    ),
+    # the bad byte lies beyond the header's read, where the parse of the rows meets it
+    "price_csv_not_utf8_in_last_row": (
+        lambda ws, tmp: ["ingest", "--data", _not_utf8_last_row(tmp), "--out", str(tmp / "out")],
+        2, "data", "latin.txt is not UTF-8 text",
+    ),
+    "train_price_csv_not_utf8_in_last_row": (
+        lambda ws, tmp: ["train", "--data", _not_utf8_last_row(tmp), "--out", str(tmp / "out")],
+        2, "data", "latin.txt is not UTF-8 text",
+    ),
+    "price_csv_empty": (
+        lambda ws, tmp: ["ingest", "--data", _text_file(tmp, "empty.csv", ""),
+                         "--out", str(tmp / "out")],
+        2, "data", "empty file:",
+    ),
+    "price_csv_blank_rows": (
+        lambda ws, tmp: ["ingest", "--data", _text_file(tmp, "blank.csv", "date,INDEX,A\n\n\n"),
+                         "--out", str(tmp / "out")],
+        2, "data", "need at least two data rows",
     ),
     "checkpoint_not_utf8": (
         lambda ws, tmp: ["eval", _not_utf8(tmp, '{"kind": "?"}'), "--data", str(ws["prices"]),
@@ -1284,6 +1323,11 @@ _DOCUMENTED_FAILURES = {
                          "2020-01-01,0.1,0.2\n2020-01-02,0.3,nan\n"), "--out", str(tmp / "out")],
         2, "data", "series 'ensemble' has a non-finite cumulative sum",
     ),
+    "plot_header_without_date": (
+        lambda ws, tmp: ["plot", "--data", _series_csv(tmp, "day,index\n"
+                         "2020-01-01,0.1\n2020-01-02,0.2\n"), "--out", str(tmp / "out")],
+        2, "data", "expected a header starting with 'date'",
+    ),
     "plot_overflowing_series": (
         lambda ws, tmp: ["plot", "--data", _series_csv(tmp, "date,index\n"
                          "2020-01-01,1e308\n2020-01-02,1e308\n"), "--out", str(tmp / "out")],
@@ -1299,6 +1343,7 @@ _DOCUMENTED_FAILURES = {
 
 
 @pytest.mark.parametrize("case", list(_DOCUMENTED_FAILURES))
+@pytest.mark.filterwarnings("error")  # the error line is the only report of a failure
 def test_documented_failures_map_to_their_exit_codes(workspace, tmp_path, capsys, case):
     build, code, category, reason = _DOCUMENTED_FAILURES[case]
     argv = build(workspace, tmp_path)
