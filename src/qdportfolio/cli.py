@@ -215,8 +215,9 @@ def _cmd_train(args) -> int:
     flat = _with_data_keys(config_to_flat(config), resolved)
     trainer.write_config(flat, out / trainer.RUN_CONFIG)
 
-    resume_payload = trainer.load_checkpoint(args.resume) if args.resume else None
-    artifacts = trainer.train_generator(config, split, resume=resume_payload)
+    # no name keeps the resume document: train_generator drops it once decoded
+    artifacts = trainer.train_generator(
+        config, split, resume=trainer.load_checkpoint(args.resume) if args.resume else None)
     artifacts.config = flat
     trainer.save_run(artifacts, out)
     print(

@@ -10,14 +10,16 @@ file it writes goes through `write_text`.
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import math
 import os
+import warnings
 from contextlib import suppress
 from dataclasses import dataclass, fields
 from datetime import date as Date, timedelta
 from functools import partial
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -154,11 +156,21 @@ def load_prices(path: str | Path, index_column: str) -> PriceTable:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such file: {path}")
+    table = lines = None  # per record of the table: the date's day number, then the prices
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh), None)
-            lines = fh.readlines()  # split where csv.reader splits: \n, \r\n and \r
-    except UnicodeDecodeError as e:
+            # parsed from the open file a line at a time, so its text is never held whole; a
+            # ValueError (a UnicodeDecodeError too) sends the file to the second read, which names it
+            with suppress(ValueError), warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # fails below
+                table = _read_cells(fh, converters={0: lambda day: Date.fromisoformat(day.strip()).toordinal()})
+            if (table is None or table.shape[1] != len(header or ()) or len(table) < 2
+                    or not ((table[:, 1:] > 0) & (table[:, 1:] < np.inf)).all()):
+                fh.seek(0)  # a faulty file is read again whole, split where csv.reader splits
+                next(csv.reader(fh), None)
+                lines = fh.readlines()
+    except UnicodeDecodeError as e:  # anywhere: the parse reads to the end, or the second read does
         raise DataError(f"{path} is not UTF-8 text ({e.reason})") from None
     except csv.Error as e:  # a field longer than csv.field_size_limit()
         raise DataError(f"header: {e}") from None
@@ -175,12 +187,7 @@ def load_prices(path: str | Path, index_column: str) -> PriceTable:
     if index_column not in columns:
         raise DataError(f"unknown index column {index_column!r}")
 
-    table = None  # per record: the date's day number, then the prices
-    if any(map(str.strip, lines)):  # loadtxt warns on input without data
-        with suppress(ValueError):  # _first_fault names the fault
-            table = _read_cells(lines, converters={0: lambda day: Date.fromisoformat(day.strip()).toordinal()})
-    if (table is None or table.shape[1] != len(header) or len(table) < 2
-            or not ((table[:, 1:] > 0) & (table[:, 1:] < np.inf)).all()):
+    if lines is not None:
         raise DataError(_first_fault(lines, header) or "need at least two data rows")
     table = table[np.argsort(table[:, 0])]
     idx = header.index(index_column)
@@ -224,35 +231,45 @@ def _first_fault(lines: list[str], header: list[str]) -> str | None:
     return None
 
 
-def write_text(path: str | Path, text: str) -> None:
+def write_text(path: str | Path, text: str | Iterable[str]) -> None:
     """Write `text` to a temporary file beside `path`, then move it into place.
 
-    A failed write leaves the old file whole.  There is no fsync: a finished
-    move survives a killed process, not a power cut.
+    `text` is a string or an iterable of strings, written in turn, so a
+    large file's text need not be held whole.  A failed write leaves the
+    old file whole.  There is no fsync: a finished move survives a killed
+    process, not a power cut.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8", newline="")
+        with tmp.open("w", encoding="utf-8", newline="") as fh:
+            fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+class _Lines:
+    """A `csv.writer` target whose `write` returns the line, so `writerow` does."""
+
+    def write(self, line: str) -> str:
+        return line
+
+
 def write_prices(table: PriceTable, path: str | Path) -> None:
     """Write a price table back to the wide CSV format at full precision.
 
     Only the header needs `csv.writer`'s quoting: a positive finite float's
-    `repr` holds no comma, quote or line break.  Rows convert one at a time,
-    so no float list of the whole table is held.
+    `repr` holds no comma, quote or line break.  Rows convert and are
+    written one at a time, so neither a float list nor the text of the
+    whole table is held.
     """
-    buffer = io.StringIO()
-    csv.writer(buffer).writerow(["date", table.index_name, *table.tickers])
-    for day, index_price, row in zip(table.dates, table.index_prices.tolist(), table.prices):
-        buffer.write(f"{day.isoformat()},{index_price!r},{','.join(map(repr, row.tolist()))}\r\n")
-    write_text(path, buffer.getvalue())
+    header = csv.writer(_Lines()).writerow(["date", table.index_name, *table.tickers])
+    rows = (f"{day.isoformat()},{index_price!r},{','.join(map(repr, row.tolist()))}\r\n"
+            for day, index_price, row in zip(table.dates, table.index_prices.tolist(), table.prices))
+    write_text(path, itertools.chain((header,), rows))
 
 
 def compute_log_returns(table: PriceTable) -> ReturnPanel:

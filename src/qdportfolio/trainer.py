@@ -457,10 +457,14 @@ class _Snapshot:
         )
 
     @classmethod
-    def decode(cls, payload: dict, config: TrainConfig, path: str = "") -> "_Snapshot":
-        """A generator checkpoint of `config`, at key path `path`, of any readable version."""
-        start = cls.start(config)
-        tree = _read(payload, {**start.tree(config), "config": {}}, path)  # config: parsed already
+    def template(cls, config: TrainConfig) -> dict:
+        """The tree a generator checkpoint of `config` is read against: a fresh run's."""
+        return {**cls.start(config).tree(config), "config": {}}  # config: parsed already
+
+    @classmethod
+    def decode(cls, payload: dict, template: dict, path: str = "") -> "_Snapshot":
+        """A generator checkpoint of any readable version, at key path `path`, read against `template`."""
+        tree = _read(payload, template, path)
         rng = {}
         for name, state in tree["rng"].items():  # a state numpy refuses is refused here, not mid-run
             try:
@@ -472,8 +476,8 @@ class _Snapshot:
             iteration=tree["iteration"],
             theta=np.concatenate([tree["params"][name].ravel() for name in gen.PARAM_ORDER]),
             state=gen.GeneratorState(**tree["state"]),
-            optimizer=replace(start.optimizer, step=tree["optimizer"]["step"],
-                              arrays=tree["optimizer"]["arrays"]),
+            optimizer=OptimizerState(OptimizerKind(tree["optimizer"]["kind"]), tree["optimizer"]["step"],
+                                     tree["optimizer"]["arrays"]),
             rng=rng,
             eval_noise=tree["eval_noise"],
             best_iteration=tree["best"]["iteration"],
@@ -502,7 +506,7 @@ def checkpoint_population(payload: dict, eval_seed: int | None) -> tuple[TrainCo
                          logits=np.zeros(config.generator.n_assets))
         logits = _read(payload, {**template, "config": {}})["logits"]  # config: parsed above
         return config, gen.sparse_population(logits)
-    snapshot = _Snapshot.decode(payload, config)
+    snapshot = _Snapshot.decode(payload, _Snapshot.template(config))
     noise = snapshot.eval_noise
     if eval_seed is not None:
         noise = gen.sample_noise(config.generator, np.random.default_rng(eval_seed))
@@ -519,14 +523,15 @@ def _resume_from(config: TrainConfig, resume: dict) -> tuple[_Snapshot, _Snapsho
     mismatched = [k for k in current if k != "iterations" and current[k] != stored[k]]
     if mismatched:
         raise DataError(f"checkpoint configuration differs on: {', '.join(sorted(mismatched))}")
-    start = _Snapshot.decode(resume, saved)
+    template = _Snapshot.template(saved)
+    start = _Snapshot.decode(resume, template)
     if start.iteration >= config.iterations:
         raise DataError(
             f"checkpoint is at iteration {start.iteration}, "
             f"nothing to do before {config.iterations}"
         )
     if "best_state" in resume:
-        return start, _Snapshot.decode(resume["best_state"], saved, "best_state")
+        return start, _Snapshot.decode(resume["best_state"], template, "best_state")
     if start.best_iteration == start.iteration:  # a checkpoint.best, or a final at its best
         return start, start
     raise DataError(f"checkpoint lacks best_state for its best iteration {start.best_iteration}")
@@ -608,6 +613,7 @@ def train_generator(
         start, best = _Snapshot.start(config), None
     else:
         start, best = _resume_from(config, resume)
+        del resume  # decoded: its JSON tree is freed before the first iteration
     run.best_iteration, run.best_mse = start.best_iteration, start.best_mse
 
     def population(params: gen.GeneratorParams, state: gen.GeneratorState) -> gen.Population:
@@ -628,20 +634,23 @@ def train_generator(
             i, theta, state, opt_state, rng_states, start.eval_noise, run.best_iteration, run.best_mse
         )
 
+    def gradient(params: gen.GeneratorParams, state: gen.GeneratorState):
+        """One iteration's flat gradient, loss report and carried state; its graph dies on return."""
+        window = sample_window(data.train, config.window, rngs["windows"])
+        noise = gen.sample_noise(config.generator, rngs["noise"])
+        result = obj.total_loss(params, state, noise, window, config.loss, rngs["corruption"])
+        dc.backward(result.loss)
+        grads = np.concatenate([result.param_nodes[name].grad.ravel() for name in gen.PARAM_ORDER])
+        return grads, result.report, result.new_state
+
     params = gen.GeneratorParams.from_flat(config.generator, theta)
     for i in range(start.iteration + 1, config.iterations + 1):
         t0 = time.monotonic()
         try:
-            window = sample_window(data.train, config.window, rngs["windows"])
-            noise = gen.sample_noise(config.generator, rngs["noise"])
-            result = obj.total_loss(
-                params, state, noise, window, config.loss, rngs["corruption"]
-            )
-            dc.backward(result.loss)
-            grads = np.concatenate([result.param_nodes[name].grad.ravel() for name in gen.PARAM_ORDER])
+            grads, report, state = gradient(params, state)
             theta, opt_state = step(kind, theta, grads, opt_state, config.hyper)
-            params, state = gen.GeneratorParams.from_flat(config.generator, theta), result.new_state
-            if run.record(i, result.report, partial(population, params, state), t0):
+            params = gen.GeneratorParams.from_flat(config.generator, theta)
+            if run.record(i, report, partial(population, params, state), t0):
                 best = snapshot(i)
         except (dc.NonFiniteError, OptimError) as e:
             raise TrainError(f"iteration {i}: {e}") from e

@@ -572,8 +572,9 @@ def test_resume_from_v1_checkpoint_matches_its_v2_encoding(tmp_path, capsys):
     v1 = trainer.load_checkpoint(V1_FIXTURE / "generator.checkpoint")
     assert v1["format_version"] == 1
     config = trainer.config_from_flat(v1["config"])
-    best = trainer._packed(trainer._Snapshot.decode(v1["best_state"], config).tree(config))
-    v2 = {**trainer._packed(trainer._Snapshot.decode(v1, config).tree(config)), "best_state": best}
+    template = trainer._Snapshot.template(config)
+    best = trainer._packed(trainer._Snapshot.decode(v1["best_state"], template).tree(config))
+    v2 = {**trainer._packed(trainer._Snapshot.decode(v1, template).tree(config)), "best_state": best}
     assert v2["format_version"] == 2
     trainer.save_checkpoint(v2, tmp_path / "v2.checkpoint")
     base = ["train", "--data", str(V1_FIXTURE / "prices.csv"),
