@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import weakref
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdportfolio import cli, trainer
+from qdportfolio import cli, objective, trainer
 from qdportfolio.ensemble import BAG_MODES
 from qdportfolio.generator import GeneratorConfig
 from qdportfolio.marketdata import DataError, compute_log_returns, load_prices, time_split
@@ -649,6 +650,31 @@ def test_resume_from_best_keeps_that_best(workspace, tmp_path, capsys):
     capsys.readouterr()
     report = read_config_lines(out / "report.txt")
     assert float(report["ensemble_mse"]) == best["best"]["validation_mse"]
+
+
+def test_resume_keeps_no_checkpoint_document_into_its_first_iteration(workspace, tmp_path, capsys,
+                                                                      monkeypatch):
+    documents, alive = [], []
+
+    class Document(dict):  # a dict subclass takes a weak reference
+        pass
+
+    def load_checkpoint(path):
+        document = Document(real_load_checkpoint(path))
+        documents.append(weakref.ref(document))
+        return document
+
+    def total_loss(*args, **kwargs):
+        alive.append([ref() is not None for ref in documents])
+        return real_total_loss(*args, **kwargs)
+
+    real_load_checkpoint, real_total_loss = trainer.load_checkpoint, objective.total_loss
+    monkeypatch.setattr(trainer, "load_checkpoint", load_checkpoint)
+    monkeypatch.setattr(objective, "total_loss", total_loss)
+    assert main(_train(workspace, tmp_path, "--iterations", "6",
+                       "--resume", str(workspace["run"] / "checkpoint.final"))) == 0
+    capsys.readouterr()
+    assert alive == [[False], [False]]
 
 
 def test_resume_from_checkpoint_without_its_best_exits_2(workspace, tmp_path, capsys):

@@ -159,6 +159,30 @@ def test_ensemble_is_no_worse_than_its_average_member(case):
     assert report.ensemble_mse <= (np.sqrt(report.mean_sub_mse * (1 + 1e-12)) + rounding) ** 2
 
 
+def test_sparsify_mean_can_lose_to_its_average_member():
+    """A documented non-invariant: the bound above holds for `sparsify_rows` alone.
+
+    One member holds the index's one asset and the other member the other
+    asset.  Their mean logit row projects onto the other asset alone, so the
+    `sparsify_mean` ensemble misses by twice the average member's MSE.
+    """
+    index = np.array([0.01, -0.02, 0.015])
+    panel = ReturnPanel(
+        dates=tuple(date(2020, 1, 1) + timedelta(days=t) for t in range(3)),
+        tickers=("A0", "A1"),
+        returns=np.column_stack([index, [-0.01, 0.02, 0.0]]),
+        index_returns=index,
+    )
+    logits = np.array([[1.0, 0.0], [-10.0, 10.0]])
+    population = make_population(sparsemax(logits), logits=logits)
+    np.testing.assert_array_equal(population.weights, [[1.0, 0.0], [0.0, 1.0]])
+    mean = evaluate_population(population, panel, bag_mode="sparsify_mean")
+    np.testing.assert_array_equal(mean.ensemble_weights, [0.0, 1.0])
+    assert mean.ensemble_mse == pytest.approx(2 * mean.mean_sub_mse, rel=1e-12)
+    rows = evaluate_population(population, panel, bag_mode="sparsify_rows")
+    assert rows.ensemble_mse == pytest.approx(mean.mean_sub_mse / 2, rel=1e-12)
+
+
 def test_evaluate_population_report_consistency():
     panel, _ = make_panel(n_assets=5, seed=8)
     rng = np.random.default_rng(1)

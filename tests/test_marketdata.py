@@ -3,6 +3,7 @@ import csv
 import io
 import math
 import pickle
+import tracemalloc
 from datetime import date as Date
 from pathlib import Path
 
@@ -315,6 +316,45 @@ def test_write_prices_equals_the_csv_writer_loop_at_repr_edges(tmp_path):
     assert again.dates == table.dates and again.tickers == table.tickers
     assert again.prices.tobytes() == table.prices.tobytes()
     assert again.index_prices.tobytes() == table.index_prices.tobytes()
+
+
+def _traced_rise(call) -> int:
+    """Bytes that `call()` allocates at its peak above what it started with, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def _wide_prices(tmp_path):
+    """A 60-asset, 1,500-day table written as a price CSV (about 1.7 MB)."""
+    panel, _ = synth_dataset(n_assets=60, n_days=1499, k_sparse=5, noise_scale=0.002, seed=4)
+    table = panel_to_prices(panel, index_name="INDEX")
+    path = tmp_path / "wide.csv"
+    write_prices(table, path)
+    return table, path
+
+
+def test_write_prices_holds_no_more_than_a_row_of_text(tmp_path):
+    table, path = _wide_prices(tmp_path)
+    rise = _traced_rise(lambda: write_prices(table, path))
+    assert rise < 0.25 * path.stat().st_size
+
+
+def test_load_prices_holds_no_line_of_text_it_has_parsed(tmp_path):
+    _, path = _wide_prices(tmp_path)
+    text = path.read_text()
+    padded = tmp_path / "padded.csv"
+    padded.write_text(text.replace(",", "," + " " * 48), newline="")  # blanks the dialect ignores
+    added = padded.stat().st_size - path.stat().st_size
+    loaded = []
+    rise = _traced_rise(lambda: loaded.append(load_prices(path, "INDEX")))
+    padded_rise = _traced_rise(lambda: loaded.append(load_prices(padded, "INDEX")))
+    assert loaded[0].prices.tobytes() == loaded[1].prices.tobytes()
+    assert padded_rise - rise < 0.1 * added
 
 
 def test_compute_log_returns_oracle(tmp_path):

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from contextlib import suppress
 from pathlib import Path
 from dataclasses import replace
@@ -20,6 +21,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qdportfolio import diffcore as dc
+from qdportfolio import ensemble as ens
+from qdportfolio import objective as obj
 from qdportfolio import trainer
 from qdportfolio.generator import GeneratorConfig
 from qdportfolio.marketdata import DataError, synth_dataset, time_split
@@ -187,6 +190,28 @@ def test_cmaes_baseline_ends_at_the_generation_where_cmaes_stopped():
     assert run.final_checkpoint["iteration"] == last
     assert run.evaluations_used == GEN.population * last
     assert run.best_checkpoint["best"]["iteration"] == run.best_iteration
+
+
+def test_an_iteration_graph_is_freed_before_its_validation_and_the_next_forward(monkeypatch):
+    graphs, alive = [], []  # weak references to each iteration's graph; how many live, and when
+
+    def total_loss(*args, **kwargs):
+        alive.append(("forward", sum(ref() is not None for ref in graphs)))
+        result = real_total_loss(*args, **kwargs)
+        # a Node takes no weak reference; the loss node's value array, held by it alone, stands in
+        graphs.extend(map(weakref.ref, (result, result.loss.value)))
+        return result
+
+    def evaluate_population(*args, **kwargs):
+        alive.append(("validation", sum(ref() is not None for ref in graphs)))
+        return real_evaluate_population(*args, **kwargs)
+
+    real_total_loss, real_evaluate_population = obj.total_loss, ens.evaluate_population
+    monkeypatch.setattr(obj, "total_loss", total_loss)
+    monkeypatch.setattr(ens, "evaluate_population", evaluate_population)
+    train_generator(make_config(iterations=4, eval_every=2), make_data())
+    assert alive == [("forward", 0), ("forward", 0), ("validation", 0),
+                     ("forward", 0), ("forward", 0), ("validation", 0)]
 
 
 @pytest.mark.parametrize("kind", GRADIENT_KINDS, ids=lambda k: k.value)
