@@ -231,12 +231,14 @@ def _cmd_eval(args) -> int:
     resolved = _resolve(args)
     payload = trainer.load_checkpoint(args.checkpoint)
     config, population = trainer.checkpoint_population(payload, resolved["eval_seed"])
+    kind, rule, iteration = payload["kind"], payload.get("optimizer"), payload["iteration"]
+    del payload  # read: its JSON tree is freed before the prices are
     validation = _load_split(args, resolved)[1].validation
     out = Path(_require(args, "out"))
-    flat, kind = config_to_flat(config), payload["kind"]
+    flat = config_to_flat(config)
     if kind == "baseline":  # a CMA-ES config block holds a gradient rule in the rule's place
-        flat["optimizer"] = payload["optimizer"]
-        kind = f"baseline:{payload['optimizer']}"
+        flat["optimizer"] = rule
+        kind = f"baseline:{rule}"
     trainer.write_config(_with_data_keys(flat, resolved), out / trainer.RUN_CONFIG)
     if config.generator.n_assets != validation.n_assets:
         raise DataError(
@@ -255,7 +257,7 @@ def _cmd_eval(args) -> int:
         "population": population.weights.shape[0],
         "validation_rows": validation.n_rows,
         "checkpoint_kind": kind,
-        "iteration": payload["iteration"],
+        "iteration": iteration,
         "eval_seed": resolved["eval_seed"],  # unset: the checkpoint's stored noise
     }, out / REPORT_TXT)
     members = [f"sub_{i:04d}" for i in range(population.weights.shape[0])]

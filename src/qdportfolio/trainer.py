@@ -366,7 +366,8 @@ def _read(doc, template, path: str = ""):
 
 
 def save_checkpoint(payload: dict, path: str | Path) -> None:
-    write_text(path, json.dumps(payload, sort_keys=True, allow_nan=False))
+    """Write `json.dumps(payload, sort_keys=True, allow_nan=False)`'s text piece by piece."""
+    write_text(path, json.JSONEncoder(sort_keys=True, allow_nan=False).iterencode(payload))
 
 
 def load_checkpoint(path: str | Path) -> dict:
@@ -615,9 +616,10 @@ def train_generator(
         start, best = _resume_from(config, resume)
         del resume  # decoded: its JSON tree is freed before the first iteration
     run.best_iteration, run.best_mse = start.best_iteration, start.best_mse
+    eval_noise, start_iteration = start.eval_noise, start.iteration
 
     def population(params: gen.GeneratorParams, state: gen.GeneratorState) -> gen.Population:
-        return gen.sparse_population(gen.forward(params, state, start.eval_noise).logits.value)
+        return gen.sparse_population(gen.forward(params, state, eval_noise).logits.value)
 
     if best is not None:
         params = gen.GeneratorParams.from_flat(config.generator, best.theta)
@@ -627,11 +629,12 @@ def train_generator(
                             f"{start.best_mse!r} recomputes to {recomputed!r}")
     theta, state, opt_state = start.theta, start.state, start.optimizer
     rngs = {name: _rng_from_state(rng_state) for name, rng_state in start.rng.items()}
+    del start  # spent; `best` keeps it when a resumed run starts at its best
 
     def snapshot(i: int) -> _Snapshot:
         rng_states = {name: rng.bit_generator.state for name, rng in rngs.items()}
         return _Snapshot(
-            i, theta, state, opt_state, rng_states, start.eval_noise, run.best_iteration, run.best_mse
+            i, theta, state, opt_state, rng_states, eval_noise, run.best_iteration, run.best_mse
         )
 
     def gradient(params: gen.GeneratorParams, state: gen.GeneratorState):
@@ -644,7 +647,7 @@ def train_generator(
         return grads, result.report, result.new_state
 
     params = gen.GeneratorParams.from_flat(config.generator, theta)
-    for i in range(start.iteration + 1, config.iterations + 1):
+    for i in range(start_iteration + 1, config.iterations + 1):
         t0 = time.monotonic()
         try:
             grads, report, state = gradient(params, state)
@@ -664,7 +667,7 @@ def train_generator(
     return run.artifacts(
         final_checkpoint, best_checkpoint,
         evaluations_used=config.generator.population * config.iterations,
-        start_iteration=start.iteration,
+        start_iteration=start_iteration,
     )
 
 

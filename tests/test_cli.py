@@ -677,6 +677,38 @@ def test_resume_keeps_no_checkpoint_document_into_its_first_iteration(workspace,
     assert alive == [[False], [False]]
 
 
+@pytest.mark.parametrize("kind", ["generator", "baseline"])
+def test_eval_drops_its_checkpoint_document_before_it_reads_prices(workspace, tmp_path, capsys,
+                                                                   monkeypatch, kind):
+    documents, alive = [], []
+
+    class Document(dict):  # a dict subclass takes a weak reference
+        pass
+
+    def load_checkpoint(path):
+        document = Document(real_load_checkpoint(path))
+        documents.append(weakref.ref(document))
+        return document
+
+    def load_prices(*args, **kwargs):
+        alive.append([ref() is not None for ref in documents])
+        return real_load_prices(*args, **kwargs)
+
+    real_load_checkpoint, real_load_prices = trainer.load_checkpoint, cli.load_prices
+    monkeypatch.setattr(trainer, "load_checkpoint", load_checkpoint)
+    monkeypatch.setattr(cli, "load_prices", load_prices)
+    checkpoint, prices = ((workspace["run"] / "checkpoint.final", workspace["prices"])
+                          if kind == "generator" else
+                          (V1_FIXTURE / "baseline.checkpoint", V1_FIXTURE / "prices.csv"))
+    out = tmp_path / "eval"
+    assert main(["eval", str(checkpoint), "--data", str(prices), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert alive == [[False]]
+    report = read_config_lines(out / "report.txt")
+    assert report["checkpoint_kind"].startswith(kind)
+    assert report["iteration"] == str(json.loads(checkpoint.read_text())["iteration"])
+
+
 def test_resume_from_checkpoint_without_its_best_exits_2(workspace, tmp_path, capsys):
     config = tmp_path / "fast.config"
     config.write_text(SMALL_ARCH + "learning_rate=0.3\n")
@@ -1354,6 +1386,16 @@ _DOCUMENTED_FAILURES = {
         lambda ws, tmp: ["plot", "--data", _series_csv(tmp, "day,index\n"
                          "2020-01-01,0.1\n2020-01-02,0.2\n"), "--out", str(tmp / "out")],
         2, "data", "expected a header starting with 'date'",
+    ),
+    "plot_series_row_short_of_a_cell": (
+        lambda ws, tmp: ["plot", "--data", _series_csv(tmp, "date,index,ensemble\n"
+                         "2020-01-01,0.1,0.2\n2020-01-02,0.3\n"), "--out", str(tmp / "out")],
+        2, "data", "malformed series row: list index out of range",
+    ),
+    "plot_series_cell_not_a_number": (
+        lambda ws, tmp: ["plot", "--data", _series_csv(tmp, "date,index\n"
+                         "2020-01-01,0.1\n2020-01-02,abc\n"), "--out", str(tmp / "out")],
+        2, "data", "malformed series row: could not convert string to float: 'abc'",
     ),
     "plot_overflowing_series": (
         lambda ws, tmp: ["plot", "--data", _series_csv(tmp, "date,index\n"

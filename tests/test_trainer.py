@@ -20,6 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from test_marketdata import _traced_rise
+
 from qdportfolio import diffcore as dc
 from qdportfolio import ensemble as ens
 from qdportfolio import objective as obj
@@ -214,6 +216,25 @@ def test_an_iteration_graph_is_freed_before_its_validation_and_the_next_forward(
                      ("forward", 0), ("forward", 0), ("validation", 0)]
 
 
+def test_a_fresh_run_drops_its_initial_snapshot_after_its_first_step(monkeypatch):
+    arrays, alive = [], []  # weak references to iteration 0's theta, m and v; how many live
+
+    def start(config):
+        snapshot = real_start(config)
+        arrays.extend(map(weakref.ref, (snapshot.theta, *snapshot.optimizer.arrays.values())))
+        return snapshot
+
+    def total_loss(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in arrays))
+        return real_total_loss(*args, **kwargs)
+
+    real_start, real_total_loss = trainer._Snapshot.start, obj.total_loss
+    monkeypatch.setattr(trainer._Snapshot, "start", start)
+    monkeypatch.setattr(obj, "total_loss", total_loss)
+    train_generator(make_config(iterations=4), make_data())
+    assert alive == [3, 0, 0, 0]
+
+
 @pytest.mark.parametrize("kind", GRADIENT_KINDS, ids=lambda k: k.value)
 def test_resume_is_bit_identical_to_uninterrupted(kind):
     """Each rule's optimizer state round-trips, Nadam's numpy-scalar `mu_product` included."""
@@ -381,9 +402,46 @@ def test_checkpoint_file_round_trip(tmp_path):
 
 
 def test_save_checkpoint_writes_no_non_finite_number(tmp_path):
+    path = tmp_path / "checkpoint"
     with pytest.raises(ValueError):
-        save_checkpoint({"best": {"validation_mse": float("nan")}}, tmp_path / "checkpoint")
-    assert not (tmp_path / "checkpoint").exists()
+        save_checkpoint({"best": {"validation_mse": float("nan")}}, path)
+    assert not path.exists()
+    # streamed, the NaN is met mid-write: the old file stays whole and no temp file is left
+    save_checkpoint({"best": {"validation_mse": 0.5}, "iteration": 1}, path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        save_checkpoint({"best": {"validation_mse": float("nan")}, "iteration": 2}, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+_V1_GENERATOR = Path(__file__).parent / "data" / "checkpoint_v1" / "generator.checkpoint"
+
+
+@pytest.mark.parametrize("payload", [
+    # best at iteration 1 of 2, so the final nests best_state
+    lambda: train_generator(make_config(iterations=2), make_data()).final_checkpoint,
+    lambda: train_baseline(OptimizerKind.CMAES, make_config(), make_data()).final_checkpoint,
+    # its mu_product is a packed numpy scalar
+    lambda: train_generator(make_config(optimizer=OptimizerKind.NADAM), make_data()).final_checkpoint,
+    lambda: load_checkpoint(_V1_GENERATOR),  # decimal lists
+], ids=["generator_final", "cmaes", "nadam", "v1"])
+def test_save_checkpoint_writes_exactly_json_dumps_text(tmp_path, payload):
+    payload = payload()
+    path = tmp_path / "checkpoint"
+    save_checkpoint(payload, path)
+    assert path.read_text(encoding="utf-8") == json.dumps(payload, sort_keys=True, allow_nan=False)
+
+
+def test_save_checkpoint_holds_less_than_the_text_it_writes(tmp_path):
+    data = time_split(synth_dataset(n_assets=60, n_days=120, k_sparse=5, noise_scale=0.002,
+                                    seed=4)[0], 0.8)
+    config = TrainConfig(generator=GeneratorConfig(n_assets=60), iterations=1, window=20, seed=1)
+    payload = train_generator(config, data).final_checkpoint
+    path = tmp_path / "checkpoint.final"
+    rise = _traced_rise(lambda: save_checkpoint(payload, path))
+    # json.dumps held the whole text and its pieces: 2.0 times the 1.7 MB file
+    assert rise < path.stat().st_size
 
 
 def test_load_checkpoint_errors(tmp_path):
