@@ -21,7 +21,9 @@ import io
 import json
 import math
 import os
+import pickle
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import partial
@@ -797,12 +799,28 @@ def _start_worker(parent: int) -> None:
             os._exit(1)
 
 
-def _in_workers(runs: list, order: list[int], workers: int) -> list:
-    """Start each of `runs`, picklable calls, in `workers` worker processes.
+def _spill(run, path: str) -> None:
+    """A worker's task: pickle `run()` into `path`.
 
-    Workers take the runs in `order`. Returns, in the order of `runs`, a call
-    that gives each one's result or raises its error; a run whose worker died
-    raises `BrokenProcessPool`. No worker is left when this returns or raises.
+    The pool's pipe would hand the caller each whole message and a copy of
+    it before unpickling; `_unspill` reads the file a frame at a time.
+    """
+    with open(path, "wb") as file:
+        pickle.dump(run(), file)
+
+
+def _unspill(path: str):
+    """The result `_spill` wrote to `path`."""
+    with open(path, "rb") as file:
+        return pickle.load(file)
+
+
+def _in_workers(runs: list, order: list[int], workers: int) -> list:
+    """Call each of `runs`, picklable calls, in `workers` worker processes.
+
+    Workers take the runs in `order`. Returns, in the order of `runs`, each
+    one's result or the exception it raised (`BrokenProcessPool` where its
+    worker died). No worker or result file is left when this returns or raises.
     """
     # Imported here, not at module level: only this function starts processes,
     # and every other entry point would pay their import time and memory.
@@ -812,18 +830,29 @@ def _in_workers(runs: list, order: list[int], workers: int) -> list:
     # fork: the workers inherit the imported package instead of importing it again
     context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
     others = set(multiprocessing.active_children())
-    pool = ProcessPoolExecutor(workers, mp_context=context,
-                               initializer=_start_worker, initargs=(os.getpid(),))
+    with tempfile.TemporaryDirectory(prefix="qdportfolio-compare-") as tmp:
+        paths = [os.path.join(tmp, f"{idx}.pickle") for idx in range(len(runs))]
+        pool = ProcessPoolExecutor(workers, mp_context=context,
+                                   initializer=_start_worker, initargs=(os.getpid(),))
+        try:
+            futures = {idx: pool.submit(_spill, runs[idx], paths[idx]) for idx in order}
+            wait(futures.values())
+        except BaseException:  # an interrupt ends the running runs too, not only the queued ones
+            pool.shutdown(wait=False, cancel_futures=True)
+            for worker in set(multiprocessing.active_children()) - others:
+                worker.kill()
+                worker.join()  # gone before its result file is removed
+            raise
+        pool.shutdown()
+        return [futures[idx].exception() or _unspill(paths[idx]) for idx in range(len(runs))]
+
+
+def _called(run):
+    """`run()`, or the exception it raised."""
     try:
-        futures = {idx: pool.submit(runs[idx]) for idx in order}
-        wait(futures.values())
-    except BaseException:  # an interrupt ends the running runs too, not only the queued ones
-        pool.shutdown(wait=False, cancel_futures=True)
-        for worker in set(multiprocessing.active_children()) - others:
-            worker.kill()
-        raise
-    pool.shutdown()
-    return [futures[idx].result for idx in range(len(runs))]
+        return run()
+    except Exception as error:  # kept for its row; its traceback would keep the run's frames alive
+        return error.with_traceback(None)
 
 
 def compare_optimizers(
@@ -852,38 +881,28 @@ def compare_optimizers(
     # the CPUs this process may run on; not every platform can say
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if min(len(runs), cpus) > 1:
-        # The generator, then CMA-ES, run longest (0.82 s and 0.41 s of the
-        # 1.7 s that a 100-asset, 100-iteration compare takes in one process).
-        # Started first, they do not end the call alone after the short runs:
-        # on two CPUs that compare took 0.71 s against 0.80 s in task order.
+        # The generator, then CMA-ES, run longest (0.44-0.51 s and 0.23-0.25 s of the
+        # 0.92-1.02 s a 100-asset, 100-iteration compare takes in one process).
+        # Started first, they do not end the call alone after the short runs: on
+        # two CPUs that compare took 0.49-0.61 s against 0.61-0.81 s in task order.
         order = sorted(range(len(tasks)), key=lambda idx: (tasks[idx] is not None,
                                                            tasks[idx] is not OptimizerKind.CMAES))
-        runs = _in_workers(runs, order, min(len(runs), cpus))
-    # on one CPU each run is called here, in task order: a worker would run
-    # nothing beside this process and only add its fork and the pickling
+        outcomes = _in_workers(runs, order, min(len(runs), cpus))
+    else:
+        # on one CPU each run is called here, in task order: a worker would run
+        # nothing beside this process and only add its fork and the pickling
+        outcomes = map(_called, runs)
     rows: list[ComparisonRow] = []
     artifacts: dict[str, RunArtifacts] = {}
-    for kind, run_seed, run in zip(tasks, seeds, runs):
+    for kind, run_seed, art in zip(tasks, seeds, outcomes):
         label = "proposed" if kind is None else kind.value
-        try:
-            art = run()
-        except Exception as e:  # a failed run, or a dead worker, is recorded, not raised
-            rows.append(
-                ComparisonRow(
-                    optimizer=label, status="failed",
-                    best_validation_mse=float("nan"),
-                    evaluations_used=0, seed=run_seed, error=f"{type(e).__name__}: {e}",
-                )
-            )
+        if isinstance(art, BaseException):  # a failed run, or a dead worker, is recorded, not raised
+            rows.append(ComparisonRow(optimizer=label, status="failed", best_validation_mse=float("nan"),
+                                      evaluations_used=0, seed=run_seed, error=f"{type(art).__name__}: {art}"))
             continue
         artifacts[label] = art
-        rows.append(
-            ComparisonRow(
-                optimizer=label, status="ok",
-                best_validation_mse=art.best_validation_mse,
-                evaluations_used=art.evaluations_used, seed=run_seed,
-            )
-        )
+        rows.append(ComparisonRow(optimizer=label, status="ok", best_validation_mse=art.best_validation_mse,
+                                  evaluations_used=art.evaluations_used, seed=run_seed))
     rows.sort(key=lambda r: (r.status != "ok", r.best_validation_mse if r.status == "ok" else 0.0, r.optimizer))
     return ComparisonResult(rows=rows, artifacts=artifacts)
 

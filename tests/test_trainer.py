@@ -8,7 +8,9 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 import weakref
 from contextlib import suppress
 from pathlib import Path
@@ -618,11 +620,21 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
-def test_each_compare_worker_computes_what_one_process_computes(tmp_path, two_cpus):
+@pytest.fixture
+def private_tempdir(tmp_path, monkeypatch):
+    """The directory `tempfile` makes its directories in, for this test alone."""
+    path = tmp_path / "tempdir"
+    path.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(path))
+    return path
+
+
+def test_each_compare_worker_computes_what_one_process_computes(tmp_path, two_cpus, private_tempdir):
     data = make_data()
     config = make_config(iterations=4, eval_every=2)
     result = compare_optimizers(config, data)
     assert multiprocessing.active_children() == []
+    assert list(private_tempdir.iterdir()) == []  # each result file is read and removed
     tasks = [*GRADIENT_KINDS, OptimizerKind.CMAES, None]
     assert set(result.artifacts) == {"proposed" if k is None else k.value for k in tasks}
     for idx, kind in enumerate(tasks):
@@ -646,7 +658,26 @@ def test_each_compare_worker_computes_what_one_process_computes(tmp_path, two_cp
         assert pooled.config == direct.config, label
 
 
-def test_compare_records_a_worker_that_dies(monkeypatch, two_cpus):
+def test_compare_holds_no_result_twice(two_cpus):
+    """The caller reads a result from a file a frame at a time, not whole from the pool's pipe."""
+    panel, _ = synth_dataset(n_assets=60, n_days=300, k_sparse=5, noise_scale=0.001, seed=3)
+    config = TrainConfig(generator=GeneratorConfig(n_assets=60), iterations=3, window=50,
+                         eval_every=2, seed=1)
+    data = time_split(panel, 0.8)
+    import concurrent.futures.process  # noqa: F401  (a pooled compare imports it: not part of a result)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = compare_optimizers(config, data)
+        held, peak = (size - start for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(result.artifacts) == 11
+    # through the pool's pipe the caller held a message, its copy and the result at once: 2.0x
+    assert peak < 1.6 * held, (peak, held)
+
+
+def test_compare_records_a_worker_that_dies(monkeypatch, two_cpus, private_tempdir):
     real = trainer.train_baseline
 
     def dying(kind, config, data):
@@ -657,6 +688,7 @@ def test_compare_records_a_worker_that_dies(monkeypatch, two_cpus):
     monkeypatch.setattr(trainer, "train_baseline", dying)
     result = compare_optimizers(make_config(iterations=2), make_data())
     assert multiprocessing.active_children() == []
+    assert list(private_tempdir.iterdir()) == []
     assert len(result.rows) == 11
     rows = {row.optimizer: row for row in result.rows}
     assert rows["rprop"].status == "failed"
@@ -719,9 +751,10 @@ def _running(pid):
 @pytest.mark.skipif(sys.platform != "linux", reason="workers end with their parent on Linux")
 @pytest.mark.parametrize("how", ["interrupt", "interrupt_caller_only", "kill"])
 def test_compare_workers_end_with_an_interrupted_or_killed_caller(tmp_path, how):
-    marks = tmp_path / "workers"
+    marks, tempdir = tmp_path / "workers", tmp_path / "tempdir"
     marks.mkdir()
-    env = {**os.environ, "PYTHONPATH": str(Path(trainer.__file__).parents[1])}
+    tempdir.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(trainer.__file__).parents[1]), "TMPDIR": str(tempdir)}
     caller = subprocess.Popen([sys.executable, "-c", _HANGING_COMPARE, str(marks)], env=env,
                               start_new_session=True, stderr=subprocess.DEVNULL)
     try:
@@ -741,6 +774,11 @@ def test_compare_workers_end_with_an_interrupted_or_killed_caller(tmp_path, how)
         while any(map(_running, workers)) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not any(map(_running, workers))
+        left = [path.name for path in tempdir.iterdir()]
+        if how == "kill":  # a killed caller cannot remove its result directory
+            assert len(left) <= 1 and all(name.startswith("qdportfolio-compare-") for name in left)
+        else:
+            assert left == []
     finally:
         with suppress(ProcessLookupError):
             os.killpg(caller.pid, signal.SIGKILL)
@@ -756,7 +794,7 @@ def test_compare_runs_baselines_at_the_config_hyper_with_the_baseline_rate():
         assert art.config["learning_rate"] == (0.01 if label == "proposed" else 0.1)
 
 
-def test_compare_records_failures(monkeypatch):
+def test_compare_records_failures(monkeypatch, private_tempdir):
     real = trainer.train_baseline
 
     def flaky(kind, config, data):
@@ -765,16 +803,19 @@ def test_compare_records_failures(monkeypatch):
         return real(kind, config, data)
 
     monkeypatch.setattr(trainer, "train_baseline", flaky)
-    result = compare_optimizers(make_config(iterations=2), make_data())
-    failed = [row for row in result.rows if row.status == "failed"]
-    assert len(failed) == 1
-    assert failed[0].optimizer == "rprop"
-    assert "synthetic failure" in failed[0].error
-    assert math.isnan(failed[0].best_validation_mse)
-    assert failed[0].evaluations_used == 0
-    assert result.rows[-1] is failed[0]          # failures sort last
-    assert "rprop" not in result.artifacts
-    assert multiprocessing.active_children() == []
+    for cpus in ({0}, {0, 1}):  # each run called here, then in workers
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        result = compare_optimizers(make_config(iterations=2), make_data())
+        failed = [row for row in result.rows if row.status == "failed"]
+        assert len(failed) == 1
+        assert failed[0].optimizer == "rprop"
+        assert "synthetic failure" in failed[0].error
+        assert math.isnan(failed[0].best_validation_mse)
+        assert failed[0].evaluations_used == 0
+        assert result.rows[-1] is failed[0]          # failures sort last
+        assert "rprop" not in result.artifacts
+        assert multiprocessing.active_children() == []
+        assert list(private_tempdir.iterdir()) == []
 
 
 def test_format_value():
