@@ -293,6 +293,8 @@ def _cmd_compare(args) -> int:
         art.config = _with_data_keys(art.config, resolved)
     trainer.save_comparison(result, out)
     top = result.rows[0]
+    if top.status != "ok":  # failures sort last, so every run failed
+        raise DataError("no run succeeded; see failures.csv")
     print(f"best={top.optimizer} mse={format_value(top.best_validation_mse)}")
     return 0
 

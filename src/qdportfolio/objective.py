@@ -139,8 +139,6 @@ def corrupt(weights, config: LossConfig, rng: np.random.Generator) -> dc.Node:
     surviving weight values.
     """
     weights = dc.as_node(weights)
-    if weights.value.ndim != 2:
-        raise dc.GraphError("corrupt expects a (population, assets) matrix")
     batch, n = weights.value.shape
     keep = (rng.random((batch, n)) >= config.p_zero).astype(np.float64)
     noise = config.noise_sigma * rng.standard_normal((batch, n))

@@ -250,9 +250,6 @@ def _apply_rule(
         a["steps"] = steps
         a["prev"] = effective
 
-    else:  # pragma: no cover - the enum is closed
-        raise OptimError(f"unhandled kind {kind}")
-
     return out
 
 

@@ -551,6 +551,8 @@ class _RunRecord:
             raise DataError(
                 f"config expects {config.generator.n_assets} assets, data has {data.train.n_assets}"
             )
+        if data.train.n_rows < 2:  # one row has no return series to track or correlate
+            raise DataError(f"the training side needs at least two rows, got {data.train.n_rows}")
         self.config, self.validation = config, data.validation
         self.best_iteration, self.best_mse = 0, float("inf")  # a resumed run sets its snapshot's
         self.losses, self.evals, self.wall_clock = [], [], []  # LossReport, EvalRecord, seconds

@@ -344,6 +344,19 @@ def test_compare_command(workspace, tmp_path, capsys):
     assert (out / "runs" / "proposed" / "checkpoint.best").exists()
 
 
+def test_compare_with_no_successful_run_writes_its_tables_then_exits_2(tmp_path, capsys):
+    assert main(_one_training_row("compare", tmp_path)) == 2
+    assert capsys.readouterr().err == "error: data: no run succeeded; see failures.csv\n"
+    out = tmp_path / "out"
+    assert len((out / "table.csv").read_text().splitlines()) == 12
+    failures = (out / "failures.csv").read_text().splitlines()
+    assert failures[0] == "optimizer,error"
+    assert {line.split(",", 1)[1] for line in failures[1:]} == {
+        '"DataError: the training side needs at least two rows, got 1"'}
+    assert len(failures) == 12
+    assert not (out / "runs").exists()
+
+
 def test_compare_run_config_replays_the_table(workspace, tmp_path, capsys):
     out, replay = tmp_path / "cmp", tmp_path / "replay"
     assert main(["compare", "--data", str(workspace["prices"]),
@@ -1082,6 +1095,15 @@ def _text_file(tmp, name, text):
     return str(path)
 
 
+def _one_training_row(command, tmp):
+    """`command` on four price rows (three returns) split to one training row."""
+    prices = _text_file(tmp, "four.csv", "date,INDEX,A,B,C\n"
+                        "2020-01-01,100,10,20,30\n2020-01-02,101,10.5,19.5,30.2\n"
+                        "2020-01-03,100.5,10.2,19.8,30.6\n2020-01-06,102,10.8,20.1,30.1\n")
+    return [command, "--data", prices, "--out", str(tmp / "out"), "--iterations", "3",
+            "--population", "4", "--window", "2", "--train-fraction", "0.4"]
+
+
 def _directory(tmp, name):
     """A directory where a file of that name belongs."""
     path = tmp / "given" / name
@@ -1275,6 +1297,14 @@ _DOCUMENTED_FAILURES = {
         lambda ws, tmp: ["ingest", "--data", _text_file(tmp, "empty.csv", ""),
                          "--out", str(tmp / "out")],
         2, "data", "empty file:",
+    ),
+    "train_one_training_row": (
+        lambda ws, tmp: _one_training_row("train", tmp),
+        2, "data", "the training side needs at least two rows, got 1",
+    ),
+    "compare_one_training_row": (  # every run refuses the split, so none succeeds
+        lambda ws, tmp: _one_training_row("compare", tmp),
+        2, "data", "no run succeeded; see failures.csv",
     ),
     "price_csv_blank_rows": (
         lambda ws, tmp: ["ingest", "--data", _text_file(tmp, "blank.csv", "date,INDEX,A\n\n\n"),

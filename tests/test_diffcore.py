@@ -83,6 +83,52 @@ def test_matmul_requires_rank_two():
         dc.matmul(a, b)
 
 
+# Each shape guard that numpy would not make: a call, the error it raises.
+_GUARDS = {
+    "slice_past_the_end": (lambda: dc.slice_last(np.ones(3), 1, 4),
+                           "slice [1:4] out of range for axis of length 3"),
+    "slice_empty": (lambda: dc.slice_last(np.ones(3), 2, 2),
+                    "slice [2:2] out of range for axis of length 3"),
+    "pearson_unequal": (lambda: dc.pearson_corr(np.ones(3), np.arange(4.0)),
+                        "pearson_corr expects two rank-1 nodes of equal length"),
+    "pearson_rank_2": (lambda: dc.pearson_corr(np.ones((2, 3)), np.ones((2, 3))),
+                       "pearson_corr expects two rank-1 nodes of equal length"),
+    "pearson_one_sample": (lambda: dc.pearson_corr(np.ones(1), np.ones(1)),
+                           "pearson_corr needs at least two samples"),
+    "vector_max_empty": (lambda: dc.vector_max(np.ones(0)),
+                         "vector_max expects a non-empty rank-1 node"),
+    "vector_max_rank_2": (lambda: dc.vector_max(np.ones((2, 2))),
+                          "vector_max expects a non-empty rank-1 node"),
+    "lstm_gate_rows": (lambda: dc.lstm_cell(np.ones((1, 2)), np.zeros((1, 3)), np.zeros((1, 3)),
+                                            np.ones((8, 2)), np.ones((8, 3)), np.zeros(8)),
+                       "lstm_cell expects 12 gate rows, got 8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GUARDS))
+def test_shape_guards_name_the_fault(case):
+    call, message = _GUARDS[case]
+    with pytest.raises(dc.GraphError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+# Where no guard stands, numpy refuses the shape itself.
+_REFUSED_BY_NUMPY = {
+    "concat_of_nothing": (lambda: dc.concat([]), ValueError),
+    "take_row_past_the_end": (lambda: dc.take_row(np.ones((2, 3)), 2), IndexError),
+    "conv1d_rank_1_input": (lambda: dc.conv1d_valid(np.ones(5), np.ones((2, 3))), ValueError),
+    "conv1d_kernel_too_long": (lambda: dc.conv1d_valid(np.ones((1, 2)), np.ones((2, 3))), ValueError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_BY_NUMPY))
+def test_numpy_refuses_a_shape_no_guard_checks(case):
+    call, error = _REFUSED_BY_NUMPY[case]
+    with pytest.raises(error):
+        call()
+
+
 # --------------------------------------------------------------------------
 # per-primitive gradient checks
 
@@ -187,6 +233,10 @@ def test_pearson_variance_guard_marks_tie():
     r = dc.pearson_corr(dc.as_node(x), dc.as_node(y))
     assert r.value == 0.0
     assert r.tie
+    leaves = dc.Node(x), dc.Node(y)
+    dc.backward(dc.pearson_corr(*leaves))
+    for node in leaves:  # the guarded constant passes no gradient back
+        np.testing.assert_array_equal(node.grad, np.zeros(8))
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -45,6 +45,12 @@ def test_bag_single_member_is_identity():
     np.testing.assert_array_equal(ensemble.weights, weights[0])
 
 
+@pytest.mark.parametrize("weights", [np.zeros((0, 3)), np.full(3, 1.0 / 3.0)], ids=["empty", "rank_1"])
+def test_bag_refuses_a_population_of_no_rows(weights):
+    with pytest.raises(ValueError, match="^population must contain at least one member$"):
+        bag(make_population(weights))
+
+
 def test_bag_two_members_is_midpoint():
     weights = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
     ensemble = bag(make_population(weights))

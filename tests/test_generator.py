@@ -123,6 +123,12 @@ def test_sparsemax_pinned_examples():
     np.testing.assert_allclose(sparsemax(np.full(3, 7.5)), 1.0 / 3.0)
 
 
+@pytest.mark.parametrize("z", [np.zeros((2, 2, 3)), np.zeros(0)], ids=["rank_3", "empty"])
+def test_sparsemax_refuses_what_is_not_rows(z):
+    with pytest.raises(ValueError, match="^sparsemax expects a vector or a matrix of row vectors$"):
+        sparsemax(z)
+
+
 def test_sparsemax_shift_invariance_exact():
     # dyadic entries and shifts stay exact through the max subtraction
     z = np.array([0.5, -1.25, 2.0, 0.0, -0.75])

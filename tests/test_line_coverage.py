@@ -1,4 +1,4 @@
-"""`tools/line_coverage.py`: which lines count as statements, and which it cannot see."""
+"""`tools/line_coverage.py`: which lines count as statements, which it cannot see, and its exit."""
 import importlib.util
 from pathlib import Path
 
@@ -51,3 +51,9 @@ def test_statements_skip_what_runs_no_line_and_mark_the_blind_spots():
     assert {first: blind for first, _, blind in found if blind} == {
         24: "runs on an interrupt", 28: "runs in a forked worker", 32: "runs only as __main__",
     }
+
+
+def test_only_a_statement_outside_the_blind_spots_fails_a_passing_run():
+    assert line_coverage.exit_code(0, missed=1, blind_missed=1) == 0
+    assert line_coverage.exit_code(0, missed=1, blind_missed=0) == 1
+    assert line_coverage.exit_code(2, missed=0, blind_missed=0) == 2  # pytest's own failure

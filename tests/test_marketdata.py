@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from qdportfolio.marketdata import (
     DataError,
     PriceTable,
+    ReturnPanel,
     compute_log_returns,
     load_prices,
     panel_to_prices,
@@ -451,6 +452,32 @@ def test_panels_are_immutable():
         panel.returns[0, 0] = 9.9
     with pytest.raises(ValueError):
         panel.index_returns[0] = 9.9
+
+
+_DAYS = (Date(2020, 1, 2), Date(2020, 1, 3), Date(2020, 1, 6))
+_TABLE = dict(dates=_DAYS, tickers=("A", "B"), prices=np.ones((3, 2)), index_name="INDEX",
+              index_prices=np.ones(3))
+_PANEL = dict(dates=_DAYS, tickers=("A", "B"), returns=np.zeros((3, 2)), index_returns=np.zeros(3))
+
+
+@pytest.mark.parametrize("kind, fields, message", [
+    (PriceTable, dict(dates=_DAYS[:2]), "price table dimensions are inconsistent"),
+    (PriceTable, dict(index_prices=np.ones(2)), "price table dimensions are inconsistent"),
+    (PriceTable, dict(tickers=("A",)), "ticker count does not match price columns"),
+    (PriceTable, dict(dates=_DAYS[:1], prices=np.ones((1, 2)), index_prices=np.ones(1)),
+     "a price table needs at least two rows"),
+    (PriceTable, dict(prices=np.array([[1.0, 0.0]] * 3)), "prices must be strictly positive"),
+    (PriceTable, dict(index_prices=np.array([1.0, -1.0, 1.0])), "prices must be strictly positive"),
+    (ReturnPanel, dict(dates=_DAYS[:2]), "return panel dimensions are inconsistent"),
+    (ReturnPanel, dict(index_returns=np.zeros((3, 1))), "return panel dimensions are inconsistent"),
+    (ReturnPanel, dict(tickers=("A", "B", "C")), "ticker count does not match return columns"),
+], ids=["price_dates", "index_prices", "price_tickers", "one_price_row", "zero_price",
+        "negative_index_price", "return_dates", "index_returns", "return_tickers"])
+def test_constructors_refuse_inconsistent_fields(kind, fields, message):
+    # load_prices and compute_log_returns never build these; a library caller can
+    base = _TABLE if kind is PriceTable else _PANEL
+    with pytest.raises(DataError, match=f"^{message}$"):
+        kind(**{**base, **fields})
 
 
 def test_pickled_tables_come_back_frozen_and_checked():

@@ -59,6 +59,8 @@ def test_portfolio_returns_oracle():
         portfolio_returns(weights[:, :3], window)
     with pytest.raises(dc.GraphError):
         portfolio_returns(weights[0], window)
+    with pytest.raises(dc.GraphError, match="^window must contain at least two rows$"):
+        portfolio_returns(weights, window.slice_rows(0, 1))
 
 
 def test_tracking_loss_pinned_values():
@@ -124,6 +126,8 @@ def test_corrupt_stays_on_simplex():
     out = corrupt(dc.as_node(weights), LossConfig(p_zero=0.3, noise_sigma=0.05), rng)
     np.testing.assert_allclose(out.value.sum(axis=1), 1.0, atol=1e-12)
     assert out.value.min() >= 0.0
+    with pytest.raises(ValueError):  # one row is not a (population, assets) matrix
+        corrupt(dc.as_node(weights[0]), LossConfig(), rng)
 
 
 @settings(max_examples=150, deadline=None)

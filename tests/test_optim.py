@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from qdportfolio import optim
 from qdportfolio.optim import (
     BASELINE_HYPER,
     GENERATOR_HYPER,
@@ -251,6 +252,22 @@ def test_cmaes_stops_when_the_covariance_condition_passes_its_limit():
     short = cmaes_run(obj, dim=3, popsize=8, iterations=n // 2, seed=0)
     assert short.stop == "maxiter"
     assert [g.best_f for g in short.generations] == [g.best_f for g in result.generations[: n // 2]]
+
+
+@pytest.mark.parametrize("eigenvalue", [0.0, -1e-3, np.nan])
+def test_cmaes_refuses_a_covariance_that_lost_positive_definiteness(monkeypatch, eigenvalue):
+    real, calls = optim.np.linalg.eigh, []
+
+    def eigh(cov):  # the second generation's covariance reads one bad eigenvalue
+        values, vectors = real(cov)
+        calls.append(cov)
+        if len(calls) == 2:
+            values[0] = eigenvalue
+        return values, vectors
+
+    monkeypatch.setattr(optim.np.linalg, "eigh", eigh)
+    with pytest.raises(OptimError, match="^covariance lost positive definiteness at generation 2$"):
+        cmaes_run(lambda x: float(np.sum(x * x)), dim=3, popsize=8, iterations=5, seed=0)
 
 
 def test_cmaes_argument_validation():

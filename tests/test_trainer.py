@@ -365,6 +365,19 @@ def test_compare_fails_every_run_on_a_panel_of_another_asset_count(monkeypatch):
         assert (row.status, row.error) == ("failed", "DataError: config expects 8 assets, data has 5")
 
 
+def test_compare_fails_every_run_on_a_training_side_of_one_row(monkeypatch):
+    # one training row: the gradient rules could not form a return series,
+    # and CMA-ES would fit the one row; every run refuses it alike
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # runs here
+    panel, _ = synth_dataset(n_assets=5, n_days=10, k_sparse=2, noise_scale=0.001, seed=3)
+    result = compare_optimizers(make_config(window=2, iterations=3), time_split(panel, 0.15))
+    assert len(result.rows) == 11
+    assert result.artifacts == {}
+    for row in result.rows:
+        assert (row.status, row.error) == (
+            "failed", "DataError: the training side needs at least two rows, got 1")
+
+
 def test_numerical_blowup_becomes_train_error():
     config = make_config(optimizer=OptimizerKind.SGD,
                          hyper=Hyper(learning_rate=float("inf")))
