@@ -29,7 +29,7 @@ __all__ = [
 # Weights below this are omitted from exports.
 EXPORT_WEIGHT_FLOOR = 1e-12
 
-BAG_MODES = ("sparsify_rows", "sparsify_mean")
+BAG_MODES = ("sparsify_rows", "sparsify_mean")  # the first is the default
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class EvalReport:
     ensemble_weights: np.ndarray
 
 
-def bag(population: Population, mode: str = "sparsify_rows") -> EnsemblePortfolio:
+def bag(population: Population, mode: str = BAG_MODES[0]) -> EnsemblePortfolio:
     """Average the population weight rows into one portfolio.
 
     `sparsify_rows` (default) averages the rows as produced by the
@@ -108,7 +108,7 @@ def member_returns(weights: np.ndarray, panel: ReturnPanel) -> np.ndarray:
 
 
 def evaluate_population(
-    population: Population, panel: ReturnPanel, bag_mode: str = "sparsify_rows"
+    population: Population, panel: ReturnPanel, bag_mode: str = BAG_MODES[0]
 ) -> EvalReport:
     """Evaluate every member and the bagged ensemble on one panel."""
     ensemble = bag(population, mode=bag_mode)

@@ -98,7 +98,7 @@ class PriceTable:
 
 @dataclass(frozen=True)
 class ReturnPanel:
-    """Daily log returns for N assets and the tracked index."""
+    """Daily log returns for N assets and the tracked index, over at least two days."""
 
     dates: tuple[Date, ...]
     tickers: tuple[str, ...]
@@ -115,6 +115,8 @@ class ReturnPanel:
             raise DataError("return panel dimensions are inconsistent")
         if len(self.tickers) != n:
             raise DataError("ticker count does not match return columns")
+        if t < 2:  # one day has no return series to track or correlate
+            raise DataError(f"a return panel needs at least two rows, got {t}")
         if not (np.all(np.isfinite(self.returns)) and np.all(np.isfinite(self.index_returns))):
             raise DataError("returns must be finite")
 
@@ -304,10 +306,6 @@ def time_split(panel: ReturnPanel, fraction: float) -> SplitPanels:
     if not (0.0 < fraction < 1.0):
         raise RangeError(f"train_fraction must lie in (0, 1), got {fraction}")
     n_train = math.floor(panel.n_rows * fraction)
-    if n_train < 1 or panel.n_rows - n_train < 1:
-        raise DataError(
-            f"split of {panel.n_rows} rows at fraction {fraction} leaves an empty side"
-        )
     return SplitPanels(
         train=panel.slice_rows(0, n_train),
         validation=panel.slice_rows(n_train, panel.n_rows),

@@ -77,8 +77,6 @@ def portfolio_returns(weights, window: ReturnPanel) -> dc.Node:
     Row i is the weighted sum of asset log returns under weights[i]; this
     linear blend is the standard first-order portfolio approximation.
     """
-    if window.returns.shape[0] < 2:
-        raise dc.GraphError("window must contain at least two rows")
     return dc.matmul(weights, dc.as_node(window.returns.T.copy()))
 
 

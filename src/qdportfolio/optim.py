@@ -284,7 +284,7 @@ def cmaes_run(
     popsize: int,
     iterations: int,
     seed: int,
-    sigma0: float = 0.3,
+    sigma0: float = Hyper.cmaes_sigma0,
 ) -> CmaesResult:
     """Full covariance-matrix-adaptation evolution strategy.
 

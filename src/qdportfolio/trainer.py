@@ -106,7 +106,7 @@ class TrainConfig:
     seed: int = 0
     eval_seed: int | None = None
     eval_every: int = 1
-    bag_mode: str = "sparsify_rows"
+    bag_mode: str = ens.BAG_MODES[0]
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -551,8 +551,6 @@ class _RunRecord:
             raise DataError(
                 f"config expects {config.generator.n_assets} assets, data has {data.train.n_assets}"
             )
-        if data.train.n_rows < 2:  # one row has no return series to track or correlate
-            raise DataError(f"the training side needs at least two rows, got {data.train.n_rows}")
         self.config, self.validation = config, data.validation
         self.best_iteration, self.best_mse = 0, float("inf")  # a resumed run sets its snapshot's
         self.losses, self.evals, self.wall_clock = [], [], []  # LossReport, EvalRecord, seconds
@@ -696,7 +694,7 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
         nonlocal best_logits
         loss = obj.LossReport(tracking_mse=mse, max_corr=0.0, total=mse)
         if run.record(i, loss, lambda: gen.sparse_population(logits), started, last):
-            best_logits = logits.copy()
+            best_logits = logits
 
     if kind is OptimizerKind.CMAES:
         def objective(v: np.ndarray) -> float:  # the softmax weights' tracking MSE
@@ -726,7 +724,7 @@ def train_baseline(kind: OptimizerKind, config: TrainConfig, data: SplitPanels) 
         for i in range(1, config.iterations + 1):
             t0 = time.monotonic()
             try:
-                leaf = dc.Node(logits.copy(), op="logits")
+                leaf = dc.Node(logits, op="logits")
                 weights = dc.softmax(dc.reshape(leaf, (1, n)))
                 series = obj.portfolio_returns(weights, data.train)
                 loss = obj.tracking_loss(series, data.train.index_returns)

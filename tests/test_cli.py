@@ -344,15 +344,21 @@ def test_compare_command(workspace, tmp_path, capsys):
     assert (out / "runs" / "proposed" / "checkpoint.best").exists()
 
 
-def test_compare_with_no_successful_run_writes_its_tables_then_exits_2(tmp_path, capsys):
-    assert main(_one_training_row("compare", tmp_path)) == 2
-    assert capsys.readouterr().err == "error: data: no run succeeded; see failures.csv\n"
+def test_compare_with_no_successful_run_writes_its_tables_then_exits_2(
+        workspace, tmp_path, capsys, monkeypatch):
+    def refuse(config, data, kind, run_seed, baseline_rate):
+        raise DataError("refused here")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # runs here
+    monkeypatch.setattr(trainer, "_compare_task", refuse)
     out = tmp_path / "out"
+    assert main(["compare", "--data", str(workspace["prices"]), "--config", str(workspace["config"]),
+                 "--out", str(out), "--iterations", "2"]) == 2
+    assert capsys.readouterr().err == "error: data: no run succeeded; see failures.csv\n"
     assert len((out / "table.csv").read_text().splitlines()) == 12
     failures = (out / "failures.csv").read_text().splitlines()
     assert failures[0] == "optimizer,error"
-    assert {line.split(",", 1)[1] for line in failures[1:]} == {
-        '"DataError: the training side needs at least two rows, got 1"'}
+    assert {line.split(",", 1)[1] for line in failures[1:]} == {"DataError: refused here"}
     assert len(failures) == 12
     assert not (out / "runs").exists()
 
@@ -1095,13 +1101,16 @@ def _text_file(tmp, name, text):
     return str(path)
 
 
-def _one_training_row(command, tmp):
-    """`command` on four price rows (three returns) split to one training row."""
+def _four_price_rows(tmp, fraction, *argv):
+    """`argv` on four price rows (three returns) split at `fraction`: 0.4 trains on one row,
+    0.7 validates on one."""
     prices = _text_file(tmp, "four.csv", "date,INDEX,A,B,C\n"
                         "2020-01-01,100,10,20,30\n2020-01-02,101,10.5,19.5,30.2\n"
                         "2020-01-03,100.5,10.2,19.8,30.6\n2020-01-06,102,10.8,20.1,30.1\n")
-    return [command, "--data", prices, "--out", str(tmp / "out"), "--iterations", "3",
-            "--population", "4", "--window", "2", "--train-fraction", "0.4"]
+    return [*argv, "--data", prices, "--out", str(tmp / "out"), "--train-fraction", fraction]
+
+
+_TINY_RUN = ("--iterations", "3", "--population", "4", "--window", "2")
 
 
 def _directory(tmp, name):
@@ -1298,13 +1307,22 @@ _DOCUMENTED_FAILURES = {
                          "--out", str(tmp / "out")],
         2, "data", "empty file:",
     ),
+    # a side of one row is refused as the split is made, before any file or worker
     "train_one_training_row": (
-        lambda ws, tmp: _one_training_row("train", tmp),
-        2, "data", "the training side needs at least two rows, got 1",
+        lambda ws, tmp: _four_price_rows(tmp, "0.4", "train", *_TINY_RUN),
+        2, "data", "a return panel needs at least two rows, got 1",
     ),
-    "compare_one_training_row": (  # every run refuses the split, so none succeeds
-        lambda ws, tmp: _one_training_row("compare", tmp),
-        2, "data", "no run succeeded; see failures.csv",
+    "compare_one_training_row": (
+        lambda ws, tmp: _four_price_rows(tmp, "0.4", "compare", *_TINY_RUN),
+        2, "data", "a return panel needs at least two rows, got 1",
+    ),
+    "train_one_validation_row": (
+        lambda ws, tmp: _four_price_rows(tmp, "0.7", "train", *_TINY_RUN),
+        2, "data", "a return panel needs at least two rows, got 1",
+    ),
+    "eval_one_validation_row": (
+        lambda ws, tmp: _four_price_rows(tmp, "0.7", "eval", str(ws["run"] / "checkpoint.best")),
+        2, "data", "a return panel needs at least two rows, got 1",
     ),
     "price_csv_blank_rows": (
         lambda ws, tmp: ["ingest", "--data", _text_file(tmp, "blank.csv", "date,INDEX,A\n\n\n"),
@@ -1452,8 +1470,8 @@ def test_documented_failures_map_to_their_exit_codes(workspace, tmp_path, capsys
     assert err.startswith(f"error: {category}:")
     assert err.count("\n") == 1
     assert reason in err
-    if category == "usage":  # refused before anything is written
-        assert not (tmp_path / "out").exists()
+    if category == "usage" or case.endswith(("_training_row", "_validation_row")):
+        assert not (tmp_path / "out").exists()  # refused before anything is written
 
 
 # ----------------------------------------------------------------------

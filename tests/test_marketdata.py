@@ -383,8 +383,14 @@ def test_time_split_floor_and_boundaries():
     np.testing.assert_array_equal(
         np.vstack([split.train.returns, split.validation.returns]), panel.returns
     )
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="^a return panel needs at least two rows, got 0$"):
         time_split(panel, 0.05)   # empty training side
+    with pytest.raises(DataError, match="^a return panel needs at least two rows, got 1$"):
+        time_split(panel, 0.9)    # one validation row
+    two_days = PriceTable(dates=panel.dates[:2], tickers=panel.tickers, prices=np.ones((2, 4)),
+                          index_name="INDEX", index_prices=np.ones(2))
+    with pytest.raises(DataError, match="^a return panel needs at least two rows, got 1$"):
+        compute_log_returns(two_days)   # one return row
     with pytest.raises(DataError):
         time_split(panel, 1.0)
     with pytest.raises(DataError):
@@ -471,10 +477,15 @@ _PANEL = dict(dates=_DAYS, tickers=("A", "B"), returns=np.zeros((3, 2)), index_r
     (ReturnPanel, dict(dates=_DAYS[:2]), "return panel dimensions are inconsistent"),
     (ReturnPanel, dict(index_returns=np.zeros((3, 1))), "return panel dimensions are inconsistent"),
     (ReturnPanel, dict(tickers=("A", "B", "C")), "ticker count does not match return columns"),
+    (ReturnPanel, dict(dates=(), returns=np.zeros((0, 2)), index_returns=np.zeros(0)),
+     "a return panel needs at least two rows, got 0"),
+    (ReturnPanel, dict(dates=_DAYS[:1], returns=np.zeros((1, 2)), index_returns=np.zeros(1)),
+     "a return panel needs at least two rows, got 1"),
 ], ids=["price_dates", "index_prices", "price_tickers", "one_price_row", "zero_price",
-        "negative_index_price", "return_dates", "index_returns", "return_tickers"])
+        "negative_index_price", "return_dates", "index_returns", "return_tickers",
+        "no_return_row", "one_return_row"])
 def test_constructors_refuse_inconsistent_fields(kind, fields, message):
-    # load_prices and compute_log_returns never build these; a library caller can
+    # a library caller can build these; the row counts also come from a split or window
     base = _TABLE if kind is PriceTable else _PANEL
     with pytest.raises(DataError, match=f"^{message}$"):
         kind(**{**base, **fields})

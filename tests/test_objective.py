@@ -15,7 +15,7 @@ from qdportfolio.generator import (
     sample_noise,
     sparsemax,
 )
-from qdportfolio.marketdata import sample_window, synth_dataset
+from qdportfolio.marketdata import DataError, sample_window, synth_dataset
 from qdportfolio.objective import (
     LossConfig,
     corrupt,
@@ -59,8 +59,9 @@ def test_portfolio_returns_oracle():
         portfolio_returns(weights[:, :3], window)
     with pytest.raises(dc.GraphError):
         portfolio_returns(weights[0], window)
-    with pytest.raises(dc.GraphError, match="^window must contain at least two rows$"):
-        portfolio_returns(weights, window.slice_rows(0, 1))
+    # a window of one row never reaches portfolio_returns: the panel refuses it
+    with pytest.raises(DataError, match="^a return panel needs at least two rows, got 1$"):
+        window.slice_rows(0, 1)
 
 
 def test_tracking_loss_pinned_values():

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -365,17 +366,18 @@ def test_compare_fails_every_run_on_a_panel_of_another_asset_count(monkeypatch):
         assert (row.status, row.error) == ("failed", "DataError: config expects 8 assets, data has 5")
 
 
-def test_compare_fails_every_run_on_a_training_side_of_one_row(monkeypatch):
-    # one training row: the gradient rules could not form a return series,
-    # and CMA-ES would fit the one row; every run refuses it alike
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # runs here
+def test_a_training_side_of_one_row_is_refused_before_compare_starts():
+    # one training row: the gradient rules could not form a return series, and
+    # CMA-ES would fit the one row; the split refuses it, so no run starts
     panel, _ = synth_dataset(n_assets=5, n_days=10, k_sparse=2, noise_scale=0.001, seed=3)
-    result = compare_optimizers(make_config(window=2, iterations=3), time_split(panel, 0.15))
-    assert len(result.rows) == 11
-    assert result.artifacts == {}
-    for row in result.rows:
-        assert (row.status, row.error) == (
-            "failed", "DataError: the training side needs at least two rows, got 1")
+    with pytest.raises(DataError, match="^a return panel needs at least two rows, got 1$"):
+        time_split(panel, 0.15)
+    # a compare worker unpickles its split through the constructor, so it refuses one too
+    split = time_split(panel, 0.8)
+    for name in ("dates", "returns", "index_returns"):
+        object.__setattr__(split.train, name, getattr(split.train, name)[:1])
+    with pytest.raises(DataError, match="^a return panel needs at least two rows, got 1$"):
+        pickle.loads(pickle.dumps(split))
 
 
 def test_numerical_blowup_becomes_train_error():
