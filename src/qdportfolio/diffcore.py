@@ -355,16 +355,17 @@ def conv1d_valid(x, w) -> Node:
     """
     x, w = as_node(x), as_node(w)
     _, d = x.value.shape
-    _, k = w.value.shape
+    channels, k = w.value.shape
     length = d - k + 1
     windows = np.lib.stride_tricks.sliding_window_view(x.value, k, axis=1)  # (B, L, k)
     val = np.einsum("blk,ck->bcl", windows, w.value)
 
     def vjp(g):
-        dw = np.einsum("bcl,blk->ck", g, windows) if w.needs else None
+        # products, not einsum; the forward keeps einsum, whose bits evaluation reads
+        dw = g.transpose(1, 0, 2).reshape(channels, -1) @ windows.reshape(-1, k) if w.needs else None
         if not x.needs:
             return None, dw
-        spread = np.einsum("bcl,cj->blj", g, w.value)  # (B, L, k)
+        spread = g.transpose(0, 2, 1) @ w.value  # (B, L, k)
         dx = np.zeros_like(x.value)
         for j in range(k):
             dx[:, j : j + length] += spread[:, :, j]
@@ -387,6 +388,31 @@ def softmax(a) -> Node:
     return Node(y, (a,), "softmax", vjp)
 
 
+def _pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, Callable | None]:
+    """Pearson correlation of two equal-length series, and its rule g -> (gx, gy).
+
+    The rule is None when either population variance is below `VARIANCE_GUARD`;
+    the correlation is then 0.
+    """
+    n = x.size
+    xc = x - x.mean()
+    yc = y - y.mean()
+    sx2 = float(xc @ xc)
+    sy2 = float(yc @ yc)
+    if sx2 / n < VARIANCE_GUARD or sy2 / n < VARIANCE_GUARD:
+        return 0.0, None
+    sx = np.sqrt(sx2)
+    sy = np.sqrt(sy2)
+    r = float(xc @ yc) / (sx * sy)
+
+    def rule(g):
+        gx = g * (yc / (sx * sy) - r * xc / sx2)
+        gy = g * (xc / (sx * sy) - r * yc / sy2)
+        return gx, gy
+
+    return r, rule
+
+
 def pearson_corr(x, y) -> Node:
     """Pearson correlation of two equal-length rank-1 nodes.
 
@@ -397,28 +423,15 @@ def pearson_corr(x, y) -> Node:
     x, y = as_node(x), as_node(y)
     if x.value.ndim != 1 or y.value.ndim != 1 or x.value.shape != y.value.shape:
         raise GraphError("pearson_corr expects two rank-1 nodes of equal length")
-    n = x.value.size
-    if n < 2:
+    if x.value.size < 2:
         raise GraphError("pearson_corr needs at least two samples")
-    xc = x.value - x.value.mean()
-    yc = y.value - y.value.mean()
-    sx2 = float(xc @ xc)
-    sy2 = float(yc @ yc)
-    if sx2 / n < VARIANCE_GUARD or sy2 / n < VARIANCE_GUARD:
+    r, rule = _pearson(x.value, y.value)
+    if rule is None:
         def vjp_zero(g):
             return np.zeros_like(x.value), np.zeros_like(y.value)
 
-        return Node(0.0, (x, y), "pearson_corr", vjp_zero, tie=True)
-    sx = np.sqrt(sx2)
-    sy = np.sqrt(sy2)
-    r = float(xc @ yc) / (sx * sy)
-
-    def vjp(g):
-        gx = g * (yc / (sx * sy) - r * xc / sx2)
-        gy = g * (xc / (sx * sy) - r * yc / sy2)
-        return gx, gy
-
-    return Node(r, (x, y), "pearson_corr", vjp)
+        return Node(r, (x, y), "pearson_corr", vjp_zero, tie=True)
+    return Node(r, (x, y), "pearson_corr", rule)
 
 
 def vector_max(a) -> Node:
@@ -448,7 +461,9 @@ def lstm_cell(x, h, c, w_x, w_h, b) -> tuple[Node, Node]:
     The forward pass and the vector-Jacobian rule make the same float
     operations, in the same order, as the cell composed from `matmul`,
     `transpose`, `add`, `slice_last`, `sigmoid`, `tanh` and `mul`, so the
-    values and gradients are bit-identical to that graph's.
+    values and gradients are bit-identical to that graph's.  The rule takes
+    each weight gradient as `dpre.T @ x`, C-contiguous, where that graph
+    transposes `x.T @ dpre`: the same dot products.
     """
     x, h, c, w_x, w_h, b = (as_node(n) for n in (x, h, c, w_x, w_h, b))
     hidden = h.value.shape[1]
@@ -468,17 +483,17 @@ def lstm_cell(x, h, c, w_x, w_h, b) -> tuple[Node, Node]:
     def vjp(g):
         dh, dc_out = g[..., :hidden], g[..., hidden:]
         dc_new = dc_out + (dh * go) * (1.0 - tc * tc)
-        dpre = np.zeros_like(pre)  # += on zeros, as the four slice rules accumulate
-        dpre[..., :hidden] += (dc_new * gc * gi) * (1.0 - gi)
-        dpre[..., hidden : 2 * hidden] += (dc_new * c.value * gf) * (1.0 - gf)
-        dpre[..., 2 * hidden : 3 * hidden] += dc_new * gi * (1.0 - gc * gc)
-        dpre[..., 3 * hidden :] += (dh * tc * go) * (1.0 - go)
+        dpre = np.empty_like(pre)
+        dpre[..., :hidden] = (dc_new * gc * gi) * (1.0 - gi)
+        dpre[..., hidden : 2 * hidden] = (dc_new * c.value * gf) * (1.0 - gf)
+        dpre[..., 2 * hidden : 3 * hidden] = dc_new * gi * (1.0 - gc * gc)
+        dpre[..., 3 * hidden :] = (dh * tc * go) * (1.0 - go)
         return (
             dpre @ w_x.value if x.needs else None,
             dpre @ w_h.value if h.needs else None,
             dc_new * gf if c.needs else None,
-            (x.value.T @ dpre).T if w_x.needs else None,
-            (h.value.T @ dpre).T if w_h.needs else None,
+            dpre.T @ x.value if w_x.needs else None,
+            dpre.T @ h.value if w_h.needs else None,
             _unbroadcast(dpre, b.value.shape) if b.needs else None,
         )
 

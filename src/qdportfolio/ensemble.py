@@ -101,10 +101,11 @@ def evaluate(weights: np.ndarray, panel: ReturnPanel) -> PortfolioEval:
 def member_returns(weights: np.ndarray, panel: ReturnPanel) -> np.ndarray:
     """Daily returns of each weight row on a panel, shape (B, T).
 
-    One matrix-vector product per row: a single (B, N) @ (N, T) product
-    rounds differently in the last bits.
+    One matrix-vector product per row, as `panel.returns @ row` makes it,
+    stacked in one call: a single (B, N) @ (N, T) product rounds
+    differently in the last bits.
     """
-    return np.vstack([panel.returns @ row for row in weights])
+    return np.matmul(panel.returns, weights[:, :, None])[..., 0]
 
 
 def evaluate_population(

@@ -191,15 +191,15 @@ def load_prices(path: str | Path, index_column: str) -> PriceTable:
 
     if lines is not None:
         raise DataError(_first_fault(lines, header) or "need at least two data rows")
-    table = table[np.argsort(table[:, 0])]
+    order = np.argsort(table[:, 0])
     idx = header.index(index_column)
     keep = [j for j in range(1, len(header)) if j != idx]
     return PriceTable(
-        dates=tuple(Date.fromordinal(int(day)) for day in table[:, 0]),
+        dates=tuple(Date.fromordinal(int(day)) for day in table[order, 0]),
         tickers=tuple(header[j] for j in keep),
-        prices=table[:, keep],
+        prices=table[np.ix_(order, keep)],  # rows and columns in one gather, one copy
         index_name=index_column,
-        index_prices=table[:, idx],
+        index_prices=table[order, idx],
     )
 
 

@@ -77,17 +77,21 @@ def portfolio_returns(weights, window: ReturnPanel) -> dc.Node:
     Row i is the weighted sum of asset log returns under weights[i]; this
     linear blend is the standard first-order portfolio approximation.
     """
-    return dc.matmul(weights, dc.as_node(window.returns.T.copy()))
+    return dc.matmul(weights, dc.as_node(window.returns.T))
 
 
 def tracking_loss(series: dc.Node, index_returns: np.ndarray) -> dc.Node:
-    """Mean squared deviation between every sub-portfolio and the index."""
+    """Mean squared deviation between every sub-portfolio and the index.
+
+    One node; its value is the one `mean_all(square(sub(series, index)))` gives.
+    """
     series = dc.as_node(series)
     index_returns = np.asarray(index_returns, dtype=np.float64)
     if series.value.shape[1] != index_returns.shape[0]:
         raise dc.GraphError("series length does not match the index series")
-    deviation = dc.sub(series, dc.as_node(index_returns[None, :]))
-    return dc.mean_all(dc.square(deviation))
+    deviation = series.value - index_returns
+    return dc.Node((deviation * deviation).mean(), (series,), "tracking_loss",
+                   lambda g: (g / deviation.size * 2.0 * deviation,))
 
 
 def pairwise_correlations(series: np.ndarray) -> np.ndarray:
@@ -114,7 +118,9 @@ def max_offdiag_corr(series: dc.Node) -> dc.Node:
 
     A hard max: the value scans all pairs, but the gradient flows only
     through the argmax pair (ties resolve to the lexicographically first
-    pair).  With a single sub-portfolio the term is the constant 0.
+    pair).  With a single sub-portfolio the term is the constant 0.  One
+    node, valued as `pearson_corr` of the pair's rows; where that pair is
+    variance-guarded, it is the constant 0 and marked `tie`.
     """
     series = dc.as_node(series)
     rows = series.value.shape[0]
@@ -124,7 +130,15 @@ def max_offdiag_corr(series: dc.Node) -> dc.Node:
     iu, ju = np.triu_indices(rows, k=1)
     best = int(np.argmax(matrix[iu, ju]))
     i, j = int(iu[best]), int(ju[best])
-    return dc.pearson_corr(dc.take_row(series, i), dc.take_row(series, j))
+    r, rule = dc._pearson(series.value[i], series.value[j])
+
+    def vjp(g):
+        out = np.zeros_like(series.value)
+        if rule is not None:
+            out[i], out[j] = rule(g)
+        return (out,)
+
+    return dc.Node(r, (series,), "max_offdiag_corr", vjp, tie=rule is None)
 
 
 def corrupt(weights, config: LossConfig, rng: np.random.Generator) -> dc.Node:
@@ -134,21 +148,28 @@ def corrupt(weights, config: LossConfig, rng: np.random.Generator) -> dc.Node:
     noise_sigma is added to the survivors; the row is clamped at zero and
     renormalised.  A row corrupted to all zeros is restored untouched.
     The masks and noise are constants, so gradients flow only through the
-    surviving weight values.
+    surviving weight values.  One node, whose value makes the float
+    operations of the graph composed from `add`, `mul`, `relu`, `sum_last`
+    and `div`, in the same order.
     """
     weights = dc.as_node(weights)
     batch, n = weights.value.shape
-    keep = (rng.random((batch, n)) >= config.p_zero).astype(np.float64)
+    keep = rng.random((batch, n)) >= config.p_zero
     noise = config.noise_sigma * rng.standard_normal((batch, n))
-    clamped = dc.relu(dc.mul(dc.add(weights, dc.as_node(noise)), dc.as_node(keep)))
-    sums = dc.sum_last(clamped)
-    alive = (sums.value > 0).astype(np.float64)  # (B, 1)
-    safe = dc.add(sums, dc.as_node(1.0 - alive))
-    normalised = dc.div(clamped, safe)
-    return dc.add(
-        dc.mul(normalised, dc.as_node(alive)),
-        dc.mul(weights, dc.as_node(1.0 - alive)),
-    )
+    shifted = (weights.value + noise) * keep
+    survives = shifted > 0
+    clamped = shifted * survives
+    sums = clamped.sum(axis=-1, keepdims=True)
+    dead = sums <= 0  # (B, 1): such a row is restored
+    safe = sums + dead
+    normalised = clamped / safe
+    value = normalised * ~dead + weights.value * dead
+
+    def vjp(g):
+        inner = (g * normalised).sum(axis=-1, keepdims=True)
+        return (np.where(dead, g, (g - inner) / safe * survives),)
+
+    return dc.Node(value, (weights,), "corrupt", vjp)
 
 
 def total_loss(

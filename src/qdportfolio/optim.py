@@ -182,14 +182,23 @@ def _apply_rule(
         out = params - lr * grads
 
     elif kind in (OptimizerKind.ADAM, OptimizerKind.ADAMW):
-        a["m"] = b1 * a["m"] + (1 - b1) * grads
-        a["v"] = b2 * a["v"] + (1 - b2) * grads * grads
-        m_hat = a["m"] / (1 - b1**t)
-        v_hat = a["v"] / (1 - b2**t)
-        out = params - lr * m_hat / (np.sqrt(v_hat) + eps)
+        # Both bias corrections are folded into scalars, and every in-place
+        # operation below writes an array this call made.
+        a["m"] = m = a["m"] * b1
+        m += (1 - b1) * grads
+        a["v"] = v = a["v"] * b2
+        v += (1 - b2) * np.square(grads)
+        denom = np.sqrt(v)
+        denom *= 1 / np.sqrt(1 - b2**t)
+        denom += eps
+        update = np.divide(m, denom, out=denom)
+        update *= lr / (1 - b1**t)
         if kind is OptimizerKind.ADAMW:
             # Decoupled decay: applied to the incoming parameters, not the gradient.
-            out = out - lr * hyper.weight_decay * params
+            out = params * (1 - lr * hyper.weight_decay)
+            out -= update
+        else:
+            out = params - update
 
     elif kind is OptimizerKind.ADAMAX:
         a["m"] = b1 * a["m"] + (1 - b1) * grads

@@ -6,7 +6,8 @@ never perturbs the others.  Checkpoints are a versioned JSON document
 carrying the configuration, all parameter and optimizer arrays, the
 recurrent state, the random-stream positions and the fixed evaluation
 noise: loading one and resuming is bit-identical to the uninterrupted
-run.  Every float64 array is stored as the base64 of its raw
+run under the same format version, which names the training arithmetic
+that wrote it.  Every float64 array is stored as the base64 of its raw
 little-endian bytes, so a checkpoint holds each value exactly and decodes
 without parsing decimals.  Wall-clock timings are recorded but excluded
 from artifact comparisons.
@@ -75,9 +76,11 @@ __all__ = [
     "write_rows",
 ]
 
-CHECKPOINT_VERSION = 2
-# Version 1 stored arrays as decimal JSON lists; it is still read.
-_READABLE_VERSIONS = (1, CHECKPOINT_VERSION)
+# Version 3 has version 2's layout; it marks the training arithmetic that wrote
+# it, which `--resume` continues only from its own version.
+CHECKPOINT_VERSION = 3
+# Version 1 stored arrays as decimal JSON lists; every version is still evaluated.
+_READABLE_VERSIONS = (1, 2, CHECKPOINT_VERSION)
 
 RUN_CONFIG = "run.config"
 LOSS_CSV = "loss.csv"
@@ -534,10 +537,16 @@ def _resume_from(config: TrainConfig, resume: dict) -> tuple[_Snapshot, _Snapsho
             f"nothing to do before {config.iterations}"
         )
     if "best_state" in resume:
-        return start, _Snapshot.decode(resume["best_state"], template, "best_state")
-    if start.best_iteration == start.iteration:  # a checkpoint.best, or a final at its best
-        return start, start
-    raise DataError(f"checkpoint lacks best_state for its best iteration {start.best_iteration}")
+        best = _Snapshot.decode(resume["best_state"], template, "best_state")
+    elif start.best_iteration == start.iteration:  # a checkpoint.best, or a final at its best
+        best = start
+    else:
+        raise DataError(f"checkpoint lacks best_state for its best iteration {start.best_iteration}")
+    # after every read rule, so that a malformed older file names its bad key
+    if resume["format_version"] != CHECKPOINT_VERSION:
+        raise DataError(f"checkpoint format_version {resume['format_version']} cannot be resumed: "
+                        f"format_version {CHECKPOINT_VERSION} trains with other arithmetic")
+    return start, best
 
 
 # --------------------------------------------------------------------------
@@ -605,10 +614,11 @@ def train_generator(
     population produced from the fixed evaluation noise is bagged and
     scored on the validation panel.
 
-    A resumed run first scores its checkpoint's best state the same way and
-    requires the stored best MSE bit for bit, so the checkpoint must fit this
-    data and be resumed on the BLAS thread count that wrote it (the CLI runs
-    one thread; `one_blas_thread` sets it for a library caller).
+    A resumed run needs a checkpoint of `CHECKPOINT_VERSION`.  It first
+    scores the checkpoint's best state the same way and requires the stored
+    best MSE bit for bit, so the checkpoint must fit this data and be
+    resumed on the BLAS thread count that wrote it (the CLI runs one thread;
+    `one_blas_thread` sets it for a library caller).
     """
     kind = OptimizerKind(config.optimizer)
     run = _RunRecord(config, data)

@@ -588,29 +588,34 @@ def test_v1_checkpoint_evaluates_as_before(tmp_path, capsys, kind):
     assert (out / "report.txt").read_text() == (V1_FIXTURE / f"{kind}.report.txt").read_text()
 
 
-def test_resume_from_v1_checkpoint_matches_its_v2_encoding(tmp_path, capsys):
+def test_v1_checkpoint_resumes_only_through_its_v3_encoding(tmp_path, capsys):
+    base = ["train", "--data", str(V1_FIXTURE / "prices.csv"),
+            "--config", str(V1_FIXTURE / "small.config"), "--seed", "4", "--iterations", "4"]
+    refused = tmp_path / "v1"
+    assert main(base + ["--resume", str(V1_FIXTURE / "generator.checkpoint"),
+                        "--out", str(refused)]) == 2
+    assert capsys.readouterr().err == ("error: data: checkpoint format_version 1 cannot be "
+                                       "resumed: format_version 3 trains with other arithmetic\n")
+    assert not list(refused.glob("checkpoint.*"))
     v1 = trainer.load_checkpoint(V1_FIXTURE / "generator.checkpoint")
     assert v1["format_version"] == 1
     config = trainer.config_from_flat(v1["config"])
     template = trainer._Snapshot.template(config)
-    best = trainer._packed(trainer._Snapshot.decode(v1["best_state"], template).tree(config))
-    v2 = {**trainer._packed(trainer._Snapshot.decode(v1, template).tree(config)), "best_state": best}
-    assert v2["format_version"] == 2
-    trainer.save_checkpoint(v2, tmp_path / "v2.checkpoint")
-    base = ["train", "--data", str(V1_FIXTURE / "prices.csv"),
-            "--config", str(V1_FIXTURE / "small.config"), "--seed", "4", "--iterations", "4"]
-    runs = {}
-    for name, checkpoint in [("v1", V1_FIXTURE / "generator.checkpoint"),
-                             ("v2", tmp_path / "v2.checkpoint")]:
-        runs[name] = tmp_path / name
-        assert main(base + ["--resume", str(checkpoint), "--out", str(runs[name])]) == 0
+    trees = [trainer._packed(trainer._Snapshot.decode(doc, template).tree(config))
+             for doc in (v1, v1["best_state"])]
+    v3 = {**trees[0], "best_state": trees[1]}
+    assert v3["format_version"] == 3
+    # the re-encoding holds every value of the v1 file
+    for doc, tree in zip((v3, v3["best_state"]), trees):
+        assert trainer._packed(trainer._Snapshot.decode(doc, template).tree(config)) == tree
+    trainer.save_checkpoint(v3, tmp_path / "v3.checkpoint")
+    out = tmp_path / "v3"
+    assert main(base + ["--resume", str(tmp_path / "v3.checkpoint"), "--out", str(out)]) == 0
     capsys.readouterr()
-    names = {p.name for p in runs["v1"].iterdir()} - {"timing.csv"}
-    for name in sorted(names):
-        assert (runs["v1"] / name).read_bytes() == (runs["v2"] / name).read_bytes(), name
-    # the continuation is the one format version 1's code computed
     for name in ("loss.csv", "eval.csv"):
-        assert (runs["v1"] / name).read_text() == (V1_FIXTURE / f"resumed.{name}").read_text()
+        assert (out / name).read_text() == (V1_FIXTURE / f"resumed_v3.{name}").read_text(), (
+            f"{name} differs from the continuation format_version 3 computed: a change to the "
+            "training arithmetic bumps trainer.CHECKPOINT_VERSION and pins its own continuation")
 
 
 @pytest.mark.parametrize("command", ["eval", "resume"])
@@ -1356,6 +1361,11 @@ _DOCUMENTED_FAILURES = {
     "resume_from_baseline": (
         lambda ws, tmp: _train(ws, tmp, "--iterations", "6", "--resume", _rprop_checkpoint(ws, tmp)),
         2, "data", "does not describe a generator run",
+    ),
+    "resume_other_format_version": (
+        lambda ws, tmp: _train(ws, tmp, "--iterations", "6", "--resume", _edited_checkpoint(
+            ws["run"] / "checkpoint.final", tmp, format_version=2)),
+        2, "data", "checkpoint format_version 2 cannot be resumed: format_version 3",
     ),
     "resume_at_target": (
         lambda ws, tmp: _train(ws, tmp, "--resume", str(ws["run"] / "checkpoint.final")),

@@ -223,6 +223,27 @@ def test_evaluate_population_equals_member_by_member_evaluate(batch):
     assert report.mean_sub_mse == float(np.mean([m.mse for m in members]))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    batch=st.integers(1, 10), n_assets=st.integers(2, 40), n_rows=st.integers(2, 120),
+    zero_rows=st.sets(st.integers(0, 9)), spread=st.floats(0.1, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_member_returns_stacks_the_per_row_product_bit_for_bit(batch, n_assets, n_rows, zero_rows,
+                                                               spread, seed):
+    rng = np.random.default_rng(seed)
+    weights = sparsemax(spread * rng.standard_normal((batch, n_assets)))
+    weights[sorted(r for r in zero_rows if r < batch)] = 0.0
+    panel = ReturnPanel(
+        dates=tuple(date(2020, 1, 1) + timedelta(days=t) for t in range(n_rows)),
+        tickers=tuple(f"A{j}" for j in range(n_assets)),
+        returns=0.01 * rng.standard_normal((n_rows, n_assets)),
+        index_returns=0.01 * rng.standard_normal(n_rows),
+    )
+    stacked = member_returns(weights, panel)
+    assert stacked.tobytes() == np.vstack([panel.returns @ row for row in weights]).tobytes()
+
+
 def test_evaluate_population_single_member_corr_is_zero():
     panel, _ = make_panel(n_assets=4, seed=2)
     population = make_population(sparsemax(np.array([[0.9, 0.1, -0.2, 0.0]])))

@@ -158,8 +158,13 @@ def test_corrupt_identity_when_disabled_knobs_are_zero():
 def test_corrupt_restores_fully_zeroed_rows():
     rng = np.random.default_rng(0)
     weights = np.random.default_rng(3).dirichlet(np.ones(4), size=5)
-    out = corrupt(dc.as_node(weights), LossConfig(p_zero=1.0, noise_sigma=0.0), rng)
+    leaf = dc.Node(weights.copy())
+    out = corrupt(leaf, LossConfig(p_zero=1.0, noise_sigma=0.0), rng)
     np.testing.assert_array_equal(out.value, weights)
+    # a restored row passes its gradient through unchanged
+    direction = np.random.default_rng(4).standard_normal((5, 4))
+    dc.backward(dc.sum_all(dc.mul(out, dc.as_node(direction))))
+    np.testing.assert_array_equal(leaf.grad, direction)
 
 
 def test_corrupt_consumes_the_stream_deterministically():
@@ -170,6 +175,124 @@ def test_corrupt_consumes_the_stream_deterministically():
     c = corrupt(dc.as_node(weights), config, np.random.default_rng(43)).value
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# --------------------------------------------------------------------------
+# the fused loss nodes against the graphs composed from primitives
+
+def composed_corrupt(weights, config, rng):
+    """The graph that `corrupt` fuses, built from the primitives."""
+    weights = dc.as_node(weights)
+    batch, n = weights.value.shape
+    keep = (rng.random((batch, n)) >= config.p_zero).astype(np.float64)
+    noise = config.noise_sigma * rng.standard_normal((batch, n))
+    clamped = dc.relu(dc.mul(dc.add(weights, dc.as_node(noise)), dc.as_node(keep)))
+    sums = dc.sum_last(clamped)
+    alive = (sums.value > 0).astype(np.float64)
+    safe = dc.add(sums, dc.as_node(1.0 - alive))
+    normalised = dc.div(clamped, safe)
+    return dc.add(
+        dc.mul(normalised, dc.as_node(alive)),
+        dc.mul(weights, dc.as_node(1.0 - alive)),
+    )
+
+
+def composed_tracking_loss(series, index_returns):
+    """The graph that `tracking_loss` fuses."""
+    deviation = dc.sub(series, dc.as_node(index_returns[None, :]))
+    return dc.mean_all(dc.square(deviation))
+
+
+def composed_max_offdiag_corr(series):
+    """The graph that `max_offdiag_corr` fuses: `pearson_corr` of the argmax pair's rows."""
+    rows = series.value.shape[0]
+    if rows < 2:
+        return dc.as_node(0.0)
+    matrix = pairwise_correlations(series.value)
+    iu, ju = np.triu_indices(rows, k=1)
+    best = int(np.argmax(matrix[iu, ju]))
+    return dc.pearson_corr(dc.take_row(series, int(iu[best])), dc.take_row(series, int(ju[best])))
+
+
+def _fused_and_composed(fused, composed, point, direction):
+    """Per graph: its node, the gradient of <node, direction> at the leaf `point`, and the
+    largest gradient entry the graph carries."""
+    results = []
+    for build in (fused, composed):
+        leaf = dc.Node(point.copy(), op="leaf")
+        node = build(leaf)
+        grads = dc.backward(dc.sum_all(dc.mul(node, dc.as_node(direction))))
+        results.append((node, leaf.grad, max(np.abs(g).max() for g in grads.values())))
+    return results
+
+
+def _assert_same_value_close_gradient(fused, composed):
+    """Bit-identical values; gradients within 1e-12 of the largest gradient the composed
+    graph carries, for a gradient that is 0 exactly may read as rounding in either graph."""
+    (node, grad, _), (oracle, oracle_grad, scale) = fused, composed
+    assert node.value.tobytes() == oracle.value.tobytes()
+    assert node.tie == oracle.tie
+    assert len(node.parents) == 1  # one node over its input
+    assert np.abs(grad - oracle_grad).max() <= 1e-12 * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    batch=st.integers(1, 8), n=st.integers(2, 8), length=st.integers(2, 30),
+    p_zero=st.one_of(st.just(1.0), st.floats(0.0, 1.0)), noise_sigma=st.floats(0.0, 0.5),
+    constant_rows=st.sets(st.integers(0, 7)), equal_rows=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_loss_nodes_match_their_composed_graphs(batch, n, length, p_zero, noise_sigma,
+                                                      constant_rows, equal_rows, seed):
+    rng = np.random.default_rng(seed)
+    weights = dc.softmax(dc.as_node(3.0 * rng.standard_normal((batch, n)))).value  # the training head
+    config = LossConfig(p_zero=p_zero, noise_sigma=noise_sigma)
+    _assert_same_value_close_gradient(*_fused_and_composed(
+        lambda w: corrupt(w, config, np.random.default_rng(seed)),
+        lambda w: composed_corrupt(w, config, np.random.default_rng(seed)),
+        weights, rng.standard_normal((batch, n)),
+    ))
+    series = 0.01 * rng.standard_normal((batch, length))
+    if equal_rows:
+        series[:] = series[0]
+    for r in constant_rows:  # population variance 0: below the guard
+        series[r % batch] = 0.003
+    index = 0.01 * rng.standard_normal(length)
+    _assert_same_value_close_gradient(*_fused_and_composed(
+        lambda s: tracking_loss(s, index), lambda s: composed_tracking_loss(s, index),
+        series, np.array(rng.standard_normal()),
+    ))
+    if batch > 1:  # one row is the constant 0, with no node over the series
+        _assert_same_value_close_gradient(*_fused_and_composed(
+            max_offdiag_corr, composed_max_offdiag_corr, series, np.array(rng.standard_normal()),
+        ))
+
+
+def test_max_offdiag_corr_of_a_guarded_pair_is_a_tied_zero():
+    series = np.vstack([np.full(10, 0.002), np.full(10, -0.001), np.linspace(0, 1, 10)])
+    (node, grad, _), _ = _fused_and_composed(
+        max_offdiag_corr, composed_max_offdiag_corr, series, np.array(1.0))
+    assert node.value == 0.0 and node.tie
+    np.testing.assert_array_equal(grad, np.zeros_like(series))
+    with pytest.raises(dc.GradCheckError, match="'max_offdiag_corr'"):
+        dc.grad_check(max_offdiag_corr, series)
+
+
+@pytest.mark.parametrize("p_zero", [0.3, 1.0])
+def test_fused_loss_nodes_pass_grad_check(p_zero):
+    rng = np.random.default_rng(12)
+    weights = rng.dirichlet(np.ones(6), size=4)
+    direction = dc.as_node(rng.standard_normal((4, 6)))
+    config = LossConfig(p_zero=p_zero, noise_sigma=0.01)
+    errors = [dc.grad_check(
+        lambda w: dc.sum_all(dc.mul(corrupt(w, config, np.random.default_rng(5)), direction)),
+        weights)]
+    series = rng.standard_normal((4, 15))
+    index = rng.standard_normal(15)
+    errors.append(dc.grad_check(lambda s: tracking_loss(s, index), series))
+    errors.append(dc.grad_check(max_offdiag_corr, series))
+    assert max(errors) < 1e-6
 
 
 TINY = GeneratorConfig(
