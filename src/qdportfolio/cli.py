@@ -152,19 +152,19 @@ def _role_rate(resolved: dict, role: Hyper) -> float:
     return role.learning_rate if rate is None else rate
 
 
-def _build_train_config(resolved: dict, n_assets: int) -> TrainConfig:
-    # a replayed run.config names the asset count it was trained on
-    if resolved.get("n_assets", n_assets) != n_assets:
-        raise DataError(f"config expects {resolved['n_assets']} assets, data has {n_assets}")
+def _build_train_config(resolved: dict, split, kinds=()) -> TrainConfig:
+    """The run's configuration, once `trainer.check_runs` finds it can run on `split`."""
     flat = {
+        "n_assets": split.train.n_assets,  # unless a replayed run.config names its own
         **resolved,
-        "n_assets": n_assets,
         "learning_rate": _role_rate(resolved, GENERATOR_HYPER),
     }
     try:
-        return trainer.config_from_flat(flat)
+        config = trainer.config_from_flat(flat)
     except DataError as e:
         raise UsageError(str(e)) from None
+    trainer.check_runs(config, split, kinds)
+    return config
 
 
 def _with_data_keys(flat: dict, resolved: dict) -> dict:
@@ -173,8 +173,7 @@ def _with_data_keys(flat: dict, resolved: dict) -> dict:
 
 def _load_split(args, resolved: dict):
     table = load_prices(_require(args, "data"), resolved["index_column"])
-    panel = compute_log_returns(table)
-    return panel, time_split(panel, resolved["train_fraction"])
+    return time_split(compute_log_returns(table), resolved["train_fraction"])
 
 
 # --------------------------------------------------------------------------
@@ -209,9 +208,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     resolved = _resolve(args)
-    panel, split = _load_split(args, resolved)
-    config = _build_train_config(resolved, panel.n_assets)
     out = Path(_require(args, "out"))
+    split = _load_split(args, resolved)
+    config = _build_train_config(resolved, split)
     flat = _with_data_keys(config_to_flat(config), resolved)
     trainer.write_config(flat, out / trainer.RUN_CONFIG)
 
@@ -229,22 +228,18 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     resolved = _resolve(args)
+    out = Path(_require(args, "out"))
     payload = trainer.load_checkpoint(args.checkpoint)
     config, population = trainer.checkpoint_population(payload, resolved["eval_seed"])
     kind, rule, iteration = payload["kind"], payload.get("optimizer"), payload["iteration"]
     del payload  # read: its JSON tree is freed before the prices are
-    validation = _load_split(args, resolved)[1].validation
-    out = Path(_require(args, "out"))
+    validation = _load_split(args, resolved).validation
+    trainer.check_fit(config, validation)
     flat = config_to_flat(config)
     if kind == "baseline":  # a CMA-ES config block holds a gradient rule in the rule's place
         flat["optimizer"] = rule
         kind = f"baseline:{rule}"
     trainer.write_config(_with_data_keys(flat, resolved), out / trainer.RUN_CONFIG)
-    if config.generator.n_assets != validation.n_assets:
-        raise DataError(
-            f"checkpoint expects {config.generator.n_assets} assets, "
-            f"data has {validation.n_assets}"
-        )
     report = ens.evaluate_population(population, validation, bag_mode=config.bag_mode)
     ens_eval = ens.evaluate(report.ensemble_weights, validation)
 
@@ -279,9 +274,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compare(args) -> int:
     resolved = _resolve(args)
-    panel, split = _load_split(args, resolved)
-    config = _build_train_config(resolved, panel.n_assets)
     out = Path(_require(args, "out"))
+    split = _load_split(args, resolved)
+    config = _build_train_config(resolved, split, trainer.COMPARED_KINDS)
     # the configured rate, not the generator's: unset, each role runs at its own
     flat = {**config_to_flat(config), "learning_rate": resolved["learning_rate"]}
     trainer.write_config(_with_data_keys(flat, resolved), out / trainer.RUN_CONFIG)

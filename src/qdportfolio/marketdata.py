@@ -36,6 +36,7 @@ __all__ = [
     "panel_to_prices",
     "time_split",
     "sample_window",
+    "check_window",
     "synth_dataset",
 ]
 
@@ -98,7 +99,7 @@ class PriceTable:
 
 @dataclass(frozen=True)
 class ReturnPanel:
-    """Daily log returns for N assets and the tracked index, over at least two days."""
+    """Daily log returns for N >= 2 assets and the tracked index, over at least two days."""
 
     dates: tuple[Date, ...]
     tickers: tuple[str, ...]
@@ -117,6 +118,8 @@ class ReturnPanel:
             raise DataError("ticker count does not match return columns")
         if t < 2:  # one day has no return series to track or correlate
             raise DataError(f"a return panel needs at least two rows, got {t}")
+        if n < 2:  # one asset leaves nothing to choose: every simplex row is that asset
+            raise DataError(f"a return panel needs at least two assets, got {n}")
         if not (np.all(np.isfinite(self.returns)) and np.all(np.isfinite(self.index_returns))):
             raise DataError("returns must be finite")
 
@@ -312,14 +315,19 @@ def time_split(panel: ReturnPanel, fraction: float) -> SplitPanels:
     )
 
 
-def sample_window(panel: ReturnPanel, length: int, rng: np.random.Generator) -> ReturnPanel:
-    """Draw one contiguous run of `length` rows with a uniformly random start."""
+def check_window(panel: ReturnPanel, length: int) -> None:
+    """Refuse a window `sample_window` cannot draw from `panel`."""
     if length < 2:
         raise DataError(f"window length must be at least 2, got {length}")
     if length > panel.n_rows:
         raise DataError(
             f"window length {length} exceeds available rows {panel.n_rows}"
         )
+
+
+def sample_window(panel: ReturnPanel, length: int, rng: np.random.Generator) -> ReturnPanel:
+    """Draw one contiguous run of `length` rows with a uniformly random start."""
+    check_window(panel, length)
     start = int(rng.integers(0, panel.n_rows - length + 1))
     return panel.slice_rows(start, start + length)
 

@@ -28,6 +28,7 @@ __all__ = [
     "CmaesGeneration",
     "CmaesResult",
     "cmaes_run",
+    "CMAES_MIN_POPULATION",
 ]
 
 _NADAM_PSI = 0.004  # momentum-schedule decay from the Nadam publication
@@ -285,6 +286,8 @@ class CmaesResult:
 # Hansen's `tolconditioncov` (arXiv 1604.00772): past this condition number
 # the covariance is numerically singular, and positive definiteness goes next
 _CMAES_MAX_CONDITION = 1e14
+# the smallest population `cmaes_run` takes: Hansen's default 4 + floor(3 ln n) at n = 1
+CMAES_MIN_POPULATION = 4
 
 
 def cmaes_run(
@@ -307,8 +310,8 @@ def cmaes_run(
     """
     if dim < 1:
         raise OptimError("dimension must be positive")
-    if popsize < 4:
-        raise OptimError("population size must be at least 4")
+    if popsize < CMAES_MIN_POPULATION:
+        raise OptimError(f"population size must be at least {CMAES_MIN_POPULATION}")
     if iterations < 1:
         raise OptimError("need at least one generation")
     if sigma0 <= 0:

@@ -37,9 +37,11 @@ from . import diffcore as dc
 from . import ensemble as ens
 from . import generator as gen
 from . import objective as obj
-from .marketdata import DataError, RangeError, SplitPanels, sample_window, write_text
+from .marketdata import (DataError, RangeError, ReturnPanel, SplitPanels, check_window,
+                         sample_window, write_text)
 from .optim import (
     BASELINE_HYPER,
+    CMAES_MIN_POPULATION,
     GENERATOR_HYPER,
     GRADIENT_KINDS,
     Hyper,
@@ -90,6 +92,8 @@ CHECKPOINT_FINAL = "checkpoint.final"
 CHECKPOINT_BEST = "checkpoint.best"
 TABLE_CSV = "table.csv"
 FAILURES_CSV = "failures.csv"
+
+COMPARED_KINDS = GRADIENT_KINDS + (OptimizerKind.CMAES,)  # compare_optimizers' default: every rule
 
 
 class TrainError(RuntimeError):
@@ -552,14 +556,29 @@ def _resume_from(config: TrainConfig, resume: dict) -> tuple[_Snapshot, _Snapsho
 # --------------------------------------------------------------------------
 # the bookkeeping every run shares
 
+def check_fit(config: TrainConfig, panel: ReturnPanel) -> None:
+    """Refuse a panel whose asset count is not the one `config` is built for."""
+    if panel.n_assets != config.generator.n_assets:
+        raise DataError(f"config expects {config.generator.n_assets} assets, data has {panel.n_assets}")
+
+
+def check_runs(config: TrainConfig, data: SplitPanels, kinds=()) -> None:
+    """Refuse, before it starts, a generator run of `config` on `data` that must fail.
+
+    With CMA-ES among the baselines `kinds`, refuse a population below its floor too.
+    """
+    check_fit(config, data.train)
+    check_window(data.train, config.window)
+    if OptimizerKind.CMAES in kinds and config.generator.population < CMAES_MIN_POPULATION:
+        raise RangeError(f"cmaes needs a population of at least {CMAES_MIN_POPULATION}, "
+                         f"got {config.generator.population}")
+
+
 class _RunRecord:
     """One run's losses, validation cadence, best iteration and timings."""
 
     def __init__(self, config: TrainConfig, data: SplitPanels):
-        if data.train.n_assets != config.generator.n_assets:
-            raise DataError(
-                f"config expects {config.generator.n_assets} assets, data has {data.train.n_assets}"
-            )
+        check_fit(config, data.train)
         self.config, self.validation = config, data.validation
         self.best_iteration, self.best_mse = 0, float("inf")  # a resumed run sets its snapshot's
         self.losses, self.evals, self.wall_clock = [], [], []  # LossReport, EvalRecord, seconds
@@ -868,7 +887,7 @@ def _called(run):
 def compare_optimizers(
     config: TrainConfig,
     data: SplitPanels,
-    kinds: tuple[OptimizerKind, ...] | list[OptimizerKind] = GRADIENT_KINDS + (OptimizerKind.CMAES,),
+    kinds: tuple[OptimizerKind, ...] | list[OptimizerKind] = COMPARED_KINDS,
     baseline_rate: float = BASELINE_HYPER.learning_rate,
 ) -> ComparisonResult:
     """Run every requested baseline plus the proposed method.
@@ -878,11 +897,12 @@ def compare_optimizers(
     their learning rate.  The runs are independent, so where more than one
     CPU is usable they run in worker processes, one per CPU at most, each
     on one BLAS thread; on one CPU each runs here.  Either way a run computes
-    what it would in a process on one CPU.  A failed run, or one whose worker
-    died, is recorded as failed with its error message, never dropped.  Rows
-    are sorted by best validation MSE, failures last.
+    what it would in a process on one CPU.  A misfit raises before any run
+    (`check_runs`); a failed run, or a dead worker's, is kept as a failed
+    row with its error.  Rows are sorted by best validation MSE, failures last.
     """
     ordered = list(dict.fromkeys(OptimizerKind(kind) for kind in kinds))
+    check_runs(config, data, ordered)
     tasks = [*ordered, None]  # None: the proposed generator
     seeds = [int(np.random.SeedSequence([config.seed, idx]).generate_state(1)[0])
              for idx in range(len(tasks))]

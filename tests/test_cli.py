@@ -301,6 +301,18 @@ def test_run_config_on_other_assets_exits_2(workspace, tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_eval_scores_a_checkpoint_whose_window_the_training_side_cannot_hold(workspace, tmp_path):
+    # eval scores the validation side alone: the window rule is train's and compare's
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--assets", "5", "--days", "120",
+                 "--sparse", "2", "--seed", "3"]) == 0
+    assert main(["train", "--data", str(data / "prices.csv"), "--config", str(workspace["config"]),
+                 "--window", "60", "--iterations", "1", "--out", str(tmp_path / "r")]) == 0
+    # the shared 60-day data trains on 48 rows, which train and compare refuse for this window
+    assert main(["eval", str(tmp_path / "r" / "checkpoint.best"), "--data", str(workspace["prices"]),
+                 "--out", str(tmp_path / "e")]) == 0
+
+
 def test_every_config_key_reaches_the_run(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["synth", "--out", str(data), "--assets", "5", "--days", "60",
@@ -1118,6 +1130,12 @@ def _four_price_rows(tmp, fraction, *argv):
 _TINY_RUN = ("--iterations", "3", "--population", "4", "--window", "2")
 
 
+def _one_asset(tmp):
+    """40 price rows of the index and one asset."""
+    return _text_file(tmp, "one.csv", "date,INDEX,A\n" + "".join(
+        f"2020-{1 + day // 28:02d}-{1 + day % 28:02d},{100 + day},{50 + day % 3}\n" for day in range(40)))
+
+
 def _directory(tmp, name):
     """A directory where a file of that name belongs."""
     path = tmp / "given" / name
@@ -1321,6 +1339,35 @@ _DOCUMENTED_FAILURES = {
         lambda ws, tmp: _four_price_rows(tmp, "0.4", "compare", *_TINY_RUN),
         2, "data", "a return panel needs at least two rows, got 1",
     ),
+    # a window longer than the training side fails every draw: refused before any file or run
+    "train_window_over_training_side": (
+        lambda ws, tmp: _train(ws, tmp, "--window", "49"),
+        2, "data", "window length 49 exceeds available rows 48",
+    ),
+    "compare_window_over_training_side": (
+        lambda ws, tmp: ["compare", "--data", str(ws["prices"]), "--config", str(ws["config"]),
+                         "--out", str(tmp / "out"), "--window", "49"],
+        2, "data", "window length 49 exceeds available rows 48",
+    ),
+    "compare_population_below_cmaes_floor": (
+        lambda ws, tmp: ["compare", "--data", str(ws["prices"]), "--config", str(ws["config"]),
+                         "--out", str(tmp / "out"), "--population", "3"],
+        1, "usage", "cmaes needs a population of at least 4, got 3",
+    ),
+    # ingest takes a one-asset CSV; a return panel refuses it
+    "train_one_asset": (
+        lambda ws, tmp: ["train", "--data", _one_asset(tmp), "--out", str(tmp / "out")],
+        2, "data", "a return panel needs at least two assets, got 1",
+    ),
+    "compare_one_asset": (
+        lambda ws, tmp: ["compare", "--data", _one_asset(tmp), "--out", str(tmp / "out")],
+        2, "data", "a return panel needs at least two assets, got 1",
+    ),
+    "eval_one_asset": (
+        lambda ws, tmp: ["eval", str(ws["run"] / "checkpoint.best"), "--data", _one_asset(tmp),
+                         "--out", str(tmp / "out")],
+        2, "data", "a return panel needs at least two assets, got 1",
+    ),
     "train_one_validation_row": (
         lambda ws, tmp: _four_price_rows(tmp, "0.7", "train", *_TINY_RUN),
         2, "data", "a return panel needs at least two rows, got 1",
@@ -1374,7 +1421,7 @@ _DOCUMENTED_FAILURES = {
     "eval_other_assets": (
         lambda ws, tmp: ["eval", str(ws["run"] / "checkpoint.best"), "--data", _other_assets(tmp),
                          "--out", str(tmp / "out")],
-        2, "data", "checkpoint expects 5 assets, data has 6",
+        2, "data", "config expects 5 assets, data has 6",
     ),
     "eval_config_not_an_object": (
         lambda ws, tmp: ["eval", _edited_checkpoint(ws["run"] / "checkpoint.best", tmp, config=5),
@@ -1469,6 +1516,12 @@ _DOCUMENTED_FAILURES = {
 }
 
 
+# `train` writes its run.config before it reads --resume's checkpoint or runs an iteration;
+# every other documented failure is refused before any file is written
+_FAIL_AFTER_WRITING = {"resume_changed_lambda", "resume_from_baseline", "resume_other_format_version",
+                       "resume_at_target", "resume_config_null", "resume_overflow", "infinite_rate"}
+
+
 @pytest.mark.parametrize("case", list(_DOCUMENTED_FAILURES))
 @pytest.mark.filterwarnings("error")  # the error line is the only report of a failure
 def test_documented_failures_map_to_their_exit_codes(workspace, tmp_path, capsys, case):
@@ -1480,7 +1533,7 @@ def test_documented_failures_map_to_their_exit_codes(workspace, tmp_path, capsys
     assert err.startswith(f"error: {category}:")
     assert err.count("\n") == 1
     assert reason in err
-    if category == "usage" or case.endswith(("_training_row", "_validation_row")):
+    if case not in _FAIL_AFTER_WRITING:
         assert not (tmp_path / "out").exists()  # refused before anything is written
 
 

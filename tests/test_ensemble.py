@@ -7,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from qdportfolio import diffcore as dc
 from qdportfolio.ensemble import (
+    BAG_MODES,
     EXPORT_WEIGHT_FLOOR,
     bag,
     evaluate,
     evaluate_population,
     member_returns,
 )
-from qdportfolio.generator import Population, sparsemax
+from qdportfolio.generator import Population, sparse_population, sparsemax
 from qdportfolio.marketdata import ReturnPanel, synth_dataset
 
 
@@ -163,6 +165,18 @@ def test_ensemble_is_no_worse_than_its_average_member(case):
     scale = max(np.abs(panel.returns).max(), np.abs(panel.index_returns).max())
     rounding = 4 * (panel.n_assets + 8) * np.finfo(np.float64).eps * scale
     assert report.ensemble_mse <= (np.sqrt(report.mean_sub_mse * (1 + 1e-12)) + rounding) ** 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                    elements=st.floats(-1e150, 1e150)))
+def test_every_head_and_bag_mode_gives_simplex_rows(z):
+    """The softmax training head, the sparsemax evaluation head and both bags, at spreads to 2e150."""
+    heads = [dc.softmax(z).value, sparsemax(z)]
+    bags = [bag(sparse_population(z), mode).weights[None, :] for mode in BAG_MODES]
+    for rows in heads + bags:
+        assert rows.min() >= 0.0
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_sparsify_mean_can_lose_to_its_average_member():

@@ -490,9 +490,11 @@ _PANEL = dict(dates=_DAYS, tickers=("A", "B"), returns=np.zeros((3, 2)), index_r
      "a return panel needs at least two rows, got 0"),
     (ReturnPanel, dict(dates=_DAYS[:1], returns=np.zeros((1, 2)), index_returns=np.zeros(1)),
      "a return panel needs at least two rows, got 1"),
+    (ReturnPanel, dict(tickers=("A",), returns=np.zeros((3, 1))),
+     "a return panel needs at least two assets, got 1"),
 ], ids=["price_dates", "index_prices", "price_tickers", "one_price_row", "zero_price",
         "negative_index_price", "return_dates", "index_returns", "return_tickers",
-        "no_return_row", "one_return_row"])
+        "no_return_row", "one_return_row", "one_asset"])
 def test_constructors_refuse_inconsistent_fields(kind, fields, message):
     # a library caller can build these; the row counts also come from a split or window
     base = _TABLE if kind is PriceTable else _PANEL

@@ -30,7 +30,7 @@ from qdportfolio import ensemble as ens
 from qdportfolio import objective as obj
 from qdportfolio import trainer
 from qdportfolio.generator import GeneratorConfig
-from qdportfolio.marketdata import DataError, synth_dataset, time_split
+from qdportfolio.marketdata import DataError, RangeError, synth_dataset, time_split
 from qdportfolio.objective import LossConfig
 from qdportfolio.optim import GENERATOR_HYPER, GRADIENT_KINDS, Hyper, OptimizerKind
 from qdportfolio.trainer import (
@@ -357,13 +357,24 @@ def test_baseline_refuses_a_panel_of_another_asset_count_before_it_starts(monkey
         train_baseline(kind, make_config(generator=replace(GEN, n_assets=8)), make_data())
 
 
-def test_compare_fails_every_run_on_a_panel_of_another_asset_count(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # runs here
-    result = compare_optimizers(make_config(generator=replace(GEN, n_assets=8)), make_data())
-    assert len(result.rows) == 11
-    assert result.artifacts == {}
-    for row in result.rows:
-        assert (row.status, row.error) == ("failed", "DataError: config expects 8 assets, data has 5")
+@pytest.mark.parametrize("config, error, message", [
+    (make_config(generator=replace(GEN, n_assets=8)), DataError, "config expects 8 assets, data has 5"),
+    (make_config(window=49), DataError, "window length 49 exceeds available rows 48"),
+    (make_config(generator=replace(GEN, population=3)), RangeError,
+     "cmaes needs a population of at least 4, got 3"),
+], ids=["asset_count", "window", "population"])
+def test_compare_refuses_a_misfit_before_any_run(monkeypatch, config, error, message):
+    # once, not in each of the 11 runs: no run starts, here or in a worker
+    monkeypatch.setattr(trainer, "_called", lambda run: pytest.fail("a run started"))
+    monkeypatch.setattr(trainer, "_in_workers", lambda *args: pytest.fail("a run started"))
+    with pytest.raises(error, match=f"^{message}$"):
+        compare_optimizers(config, make_data())
+
+
+def test_a_population_below_the_cmaes_floor_compares_without_cmaes():
+    config = make_config(iterations=2, generator=replace(GEN, population=3))
+    result = compare_optimizers(config, make_data(), kinds=[OptimizerKind.ADAM])
+    assert {(row.optimizer, row.status) for row in result.rows} == {("adam", "ok"), ("proposed", "ok")}
 
 
 def test_a_training_side_of_one_row_is_refused_before_compare_starts():
